@@ -70,29 +70,28 @@ int main() {
   std::printf("\n2. Model corruption (flipped fraction of every class vector):\n");
   std::printf("%10s %12s\n", "flipped", "accuracy");
   for (const double fraction : fractions) {
-    // Corrupt a copy of the class vectors, then query through a packed
-    // associative memory (the deployment artifact).
-    hdc::AssociativeMemory corrupted(config.dimension, model.num_classes(), config.metric,
-                                     /*quantized=*/true);
+    // Corrupt a copy of the class vectors (one sample per class, so each
+    // stored class vector is exactly the corrupted one), then query through
+    // the packed associative memory.
+    hdc::PackedClassMemory corrupted(config.dimension, model.num_classes(), config.metric);
     hdc::Rng corrupt_rng(0xbadbeef + static_cast<std::uint64_t>(1e6 * fraction));
     const auto flips =
         static_cast<std::size_t>(fraction * static_cast<double>(config.dimension));
     for (std::size_t c = 0; c < model.num_classes(); ++c) {
-      corrupted.add(c, model.memory().class_vector(c).with_noise(flips, corrupt_rng));
+      const hdc::Hypervector noisy =
+          model.memory().class_vector(c).to_bipolar().with_noise(flips, corrupt_rng);
+      corrupted.add(c, hdc::PackedHypervector::from_bipolar(noisy));
     }
-    const hdc::PackedAssociativeMemory packed(corrupted);
     std::size_t hits = 0;
     for (std::size_t i = 0; i < encoded.size(); ++i) {
-      hits += packed.query(encoded[i]).best_class == labels[i] ? 1 : 0;
+      const auto query = hdc::PackedHypervector::from_bipolar(encoded[i]);
+      hits += corrupted.query(query).best_class == labels[i] ? 1 : 0;
     }
     std::printf("%9.0f%% %11.1f%%\n", 100.0 * fraction,
                 100.0 * static_cast<double>(hits) / static_cast<double>(encoded.size()));
   }
 
-  {
-    const hdc::PackedAssociativeMemory packed(model.memory());
-    std::printf("\npacked model footprint: %zu bytes (%zu classes x %zu-bit vectors)\n",
-                packed.footprint_bytes(), packed.num_classes(), config.dimension);
-  }
+  std::printf("\npacked model footprint: %zu bytes (%zu classes x %zu-bit vectors)\n",
+              model.memory().footprint_bytes(), model.memory().num_classes(), config.dimension);
   return 0;
 }

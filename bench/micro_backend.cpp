@@ -1,12 +1,15 @@
 /// \file micro_backend.cpp
-/// Dense vs packed backend micro-benchmark — the efficiency half of the
-/// paper, measured end to end.
+/// Dense vs packed micro-benchmark — the efficiency half of the paper,
+/// measured end to end.
 ///
-/// Trains one GraphHD model per backend (kDenseBipolar, kPackedBinary) on a
-/// synthetic Erdős–Rényi dataset, *verifies the two backends predict
-/// bit-identically* (exit code 1 otherwise — CI runs this as a gate), then
-/// times:
-///   * encode throughput  — graphs/s through each backend's encoder;
+/// The dense side is the paper-exact reference arithmetic built from the
+/// dense primitives (GraphHdEncoder::encode, one BundleAccumulator per
+/// class, seeded majority threshold, hdc::similarity); the packed side is
+/// the runtime representation every model trains and serves on (a fitted
+/// GraphHdModel and its InferenceSnapshot).  On a synthetic Erdős–Rényi
+/// dataset it *verifies the two predict bit-identically* (exit code 1
+/// otherwise — CI runs this as a gate), then times:
+///   * encode throughput  — graphs/s through encode vs encode_packed;
 ///   * query  throughput  — class-memory queries/s on pre-encoded vectors,
 ///     the associative-memory op the paper's hardware argument is about.
 ///
@@ -24,9 +27,9 @@
 ///                              falls below this factor (default 0 = report
 ///                              only; the CI perf-baseline job gates via
 ///                              bench/check_perf.py + bench/baselines/backend.json
-///                              instead — both backends now run on the SIMD
-///                              kernel layer, so the healthy ratio is ~2-4x,
-///                              not the ~8x of the scalar-dense era)
+///                              instead — both sides run on the SIMD kernel
+///                              layer, so the healthy ratio is ~2-4x, not the
+///                              ~8x of the scalar-dense era)
 
 #include <chrono>
 #include <cstdio>
@@ -36,6 +39,8 @@
 #include "core/model.hpp"
 #include "data/scalability.hpp"
 #include "hdc/kernels/kernels.hpp"
+#include "hdc/ops.hpp"
+#include "hdc/packed_assoc.hpp"
 #include "support/env.hpp"
 
 namespace {
@@ -47,6 +52,24 @@ using graphhd::bench::env_size;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// The dense reference query: δ(query, C_i) for every bipolar class vector,
+/// argmax with the lowest index winning ties.
+graphhd::hdc::QueryResult dense_query(const std::vector<graphhd::hdc::Hypervector>& classes,
+                                      const graphhd::hdc::Hypervector& query,
+                                      graphhd::hdc::Similarity metric) {
+  graphhd::hdc::QueryResult result;
+  result.similarities.resize(classes.size());
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    const double s = graphhd::hdc::similarity(classes[c], query, metric);
+    result.similarities[c] = s;
+    if (s > result.best_similarity) {
+      result.best_similarity = s;
+      result.best_class = c;
+    }
+  }
+  return result;
 }
 
 }  // namespace
@@ -66,34 +89,49 @@ int main() {
   spec.num_graphs = graphs;
   const auto dataset = data::make_scalability_dataset(spec, /*seed=*/0xbac40ULL);
 
-  core::GraphHdConfig dense_config;
-  dense_config.dimension = dimension;
-  dense_config.backend = core::Backend::kDenseBipolar;
-  core::GraphHdConfig packed_config = dense_config;
-  packed_config.backend = core::Backend::kPackedBinary;
+  core::GraphHdConfig config;
+  config.dimension = dimension;
+  config.backend = core::Backend::kPackedBinary;
 
   std::fprintf(stderr, "micro_backend: d=%zu, %zu graphs of %zu vertices\n", dimension,
                dataset.size(), vertices);
 
-  core::GraphHdModel dense_model(dense_config, 2);
-  core::GraphHdModel packed_model(packed_config, 2);
-  dense_model.fit(dataset);
-  packed_model.fit(dataset);
+  // Dense reference: encode, bundle per class, majority-threshold with the
+  // per-class tie seed, score with hdc::similarity.
+  std::vector<hdc::Hypervector> dense_encoded(dataset.size());
+  std::vector<hdc::Hypervector> dense_classes;
+  {
+    core::GraphHdEncoder dense_encoder(config);
+    std::vector<hdc::BundleAccumulator> accumulators(2, hdc::BundleAccumulator(dimension));
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      dense_encoded[i] = dense_encoder.encode(dataset.graph(i));
+      accumulators[dataset.label(i)].add(dense_encoded[i]);
+    }
+    for (std::size_t c = 0; c < accumulators.size(); ++c) {
+      dense_classes.push_back(
+          accumulators[c].threshold(hdc::derive_seed(hdc::kMajorityTieSeed, c)));
+    }
+  }
 
-  // --- correctness gate: the packed backend must be a faithful fast path.
-  const auto dense_predictions = dense_model.predict_batch(dataset);
+  // Packed runtime: the model's own fit and its inference snapshot.
+  core::GraphHdModel packed_model(config, 2);
+  packed_model.fit(dataset);
+  const auto snapshot = packed_model.snapshot();
+
+  // --- correctness gate: the packed runtime must be a faithful fast path.
   const auto packed_predictions = packed_model.predict_batch(dataset);
-  bool identical = dense_predictions.size() == packed_predictions.size();
-  for (std::size_t i = 0; identical && i < dense_predictions.size(); ++i) {
-    identical = dense_predictions[i].label == packed_predictions[i].label &&
-                dense_predictions[i].score == packed_predictions[i].score;
+  bool identical = packed_predictions.size() == dataset.size();
+  for (std::size_t i = 0; identical && i < dataset.size(); ++i) {
+    const auto reference = dense_query(dense_classes, dense_encoded[i], config.metric);
+    identical = reference.best_class == packed_predictions[i].label &&
+                reference.best_similarity == packed_predictions[i].score;
   }
   if (!identical) {
     std::fprintf(stderr, "micro_backend: FAIL — packed predictions diverge from dense\n");
   }
 
   // --- encode throughput (fresh encoders so both start with cold caches).
-  const auto time_encode = [&](const core::GraphHdConfig& config, bool packed) {
+  const auto time_encode = [&](bool packed) {
     core::GraphHdEncoder encoder(config);
     const auto start = Clock::now();
     for (std::size_t rep = 0; rep < encode_reps; ++rep) {
@@ -108,36 +146,28 @@ int main() {
     const double elapsed = seconds_since(start);
     return static_cast<double>(encode_reps * dataset.size()) / elapsed;
   };
-  const double dense_encode_gps = time_encode(dense_config, /*packed=*/false);
-  const double packed_encode_gps = time_encode(packed_config, /*packed=*/true);
+  const double dense_encode_gps = time_encode(/*packed=*/false);
+  const double packed_encode_gps = time_encode(/*packed=*/true);
 
   // --- query throughput on pre-encoded vectors (the paper's inference op).
-  std::vector<hdc::Hypervector> dense_encoded(dataset.size());
   std::vector<hdc::PackedHypervector> packed_encoded(dataset.size());
-  {
-    core::GraphHdEncoder dense_encoder(dense_config);
-    core::GraphHdEncoder packed_encoder(packed_config);
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      dense_encoded[i] = dense_encoder.encode(dataset.graph(i));
-      packed_encoded[i] = packed_encoder.encode_packed(dataset.graph(i));
-    }
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    packed_encoded[i] = packed_model.encoder().encode_packed(dataset.graph(i));
   }
-  dense_model.memory().finalize();
-  packed_model.packed_memory().finalize();
 
   const auto start_dense = Clock::now();
   std::size_t dense_sink = 0;
   for (std::size_t rep = 0; rep < query_reps; ++rep) {
-    for (const auto& hv : dense_encoded) dense_sink += dense_model.memory().query(hv).best_class;
+    for (const auto& hv : dense_encoded) {
+      dense_sink += dense_query(dense_classes, hv, config.metric).best_class;
+    }
   }
   const double dense_query_seconds = seconds_since(start_dense);
 
   const auto start_packed = Clock::now();
   std::size_t packed_sink = 0;
   for (std::size_t rep = 0; rep < query_reps; ++rep) {
-    for (const auto& hv : packed_encoded) {
-      packed_sink += packed_model.packed_memory().query(hv).best_class;
-    }
+    for (const auto& hv : packed_encoded) packed_sink += snapshot->query(hv).best_class;
   }
   const double packed_query_seconds = seconds_since(start_packed);
 
@@ -151,9 +181,8 @@ int main() {
   const double dense_qps = total_queries / dense_query_seconds;
   const double packed_qps = total_queries / packed_query_seconds;
   const double query_speedup = packed_qps / dense_qps;
-  const std::size_t dense_footprint =
-      2 * packed_config.vectors_per_class * dimension;  // int8 per component.
-  const std::size_t packed_footprint = packed_model.packed_memory().footprint_bytes();
+  const std::size_t dense_footprint = dense_classes.size() * dimension;  // int8 per component.
+  const std::size_t packed_footprint = snapshot->footprint_bytes();
 
   std::printf("{\n");
   std::printf("  \"schema\": \"graphhd-bench-backend/v1\",\n");

@@ -9,7 +9,7 @@
 
 #include "core/encoder.hpp"
 #include "graph/generators.hpp"
-#include "hdc/assoc_memory.hpp"
+#include "hdc/packed_assoc.hpp"
 #include "hdc/ops.hpp"
 #include "hdc/packed.hpp"
 
@@ -102,12 +102,12 @@ BENCHMARK(BM_EncodeGraph)->Arg(30)->Arg(100)->Arg(300)->Arg(980);
 void BM_AssociativeQuery(benchmark::State& state) {
   const auto classes = static_cast<std::size_t>(state.range(0));
   hdc::Rng rng(7);
-  hdc::AssociativeMemory memory(10000, classes);
+  hdc::PackedClassMemory memory(10000, classes);
   for (std::size_t c = 0; c < classes; ++c) {
-    memory.add(c, hdc::Hypervector::random(10000, rng));
+    memory.add(c, hdc::PackedHypervector::random(10000, rng));
   }
   memory.finalize();
-  const auto query = hdc::Hypervector::random(10000, rng);
+  const auto query = hdc::PackedHypervector::random(10000, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(memory.query(query));
   }

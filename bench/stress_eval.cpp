@@ -110,7 +110,7 @@ int main() {
   eval::CvConfig cv;
   cv.folds = folds;
   cv.repetitions = 1;
-  cv.stream_chunk = chunk;
+  cv.stream.chunk = chunk;
   cv.record_predictions = true;  // the equivalence phase compares them all.
 
   std::fprintf(stderr,

@@ -43,7 +43,7 @@
 /// `--folds 10x` used to run 10 folds, and an out-of-range value terminated
 /// the process with an uncaught std::out_of_range).
 ///
-/// `--chunk N` (deprecated alias: `--stream N`) runs
+/// `--chunk N` runs
 /// training/prediction/evaluation through the GraphStream pipeline
 /// (data/stream.hpp): TUDataset files are read incrementally, N graphs at a
 /// time, with predictions bit-identical to the materialized path.  `train`
@@ -112,19 +112,18 @@ using core::cli::parse_u64_any_base;
 
 constexpr std::string_view kTrainValued[] = {
     "data", "name", "out", "scale", "seed", "dimension", "model-seed", "retrain",
-    "prototypes", "backend", "chunk", "stream", "shards", "shard-workers",
+    "prototypes", "backend", "chunk", "shards", "shard-workers",
     "shard-index", "checkpoint", "checkpoint-interval"};
 constexpr std::string_view kTrainBoolean[] = {"resume", "no-prefetch"};
 
 constexpr std::string_view kPredictValued[] = {"model", "remote", "data", "name",
-                                               "scale", "seed", "chunk", "stream",
-                                               "window"};
+                                               "scale", "seed", "chunk", "window"};
 constexpr std::string_view kPredictBoolean[] = {"no-prefetch"};
 
 constexpr std::string_view kEvalValued[] = {"data", "name", "scale", "seed", "folds",
                                             "reps", "dimension", "model-seed",
                                             "retrain", "prototypes", "backend",
-                                            "chunk", "stream"};
+                                            "chunk"};
 constexpr std::string_view kEvalBoolean[] = {"no-prefetch"};
 
 constexpr std::string_view kSynthValued[] = {"name", "out", "scale", "seed"};
@@ -136,8 +135,7 @@ constexpr std::string_view kStatsValued[] = {"data", "name", "scale", "seed"};
 
 constexpr std::string_view kConvertValued[] = {"format"};
 
-constexpr std::string_view kMergeValued[] = {"data", "name", "scale", "seed", "chunk",
-                                             "stream"};
+constexpr std::string_view kMergeValued[] = {"data", "name", "scale", "seed", "chunk"};
 constexpr std::string_view kMergeBoolean[] = {"finish", "no-prefetch"};
 
 constexpr std::string_view kServeValued[] = {"port", "workers", "max-batch", "queue",
@@ -187,7 +185,7 @@ constexpr FlagSpec kServeSpec{kServeValued, {}};
   return config;
 }
 
-/// Streaming source + ground-truth labels for --stream runs.  TUDataset
+/// Streaming source + ground-truth labels for --chunk runs.  TUDataset
 /// directories are read incrementally; the synthetic fallback materializes
 /// (it is generated in memory anyway) and streams the result.
 struct StreamSource {
@@ -259,16 +257,9 @@ struct OpenerSource {
   return source;
 }
 
-/// The requested chunk size: --chunk wins, --stream is the deprecated
-/// pre-PR-8 alias; 0 = no streaming flag given.
+/// The requested chunk size; 0 = no --chunk flag given.
 [[nodiscard]] std::size_t stream_chunk_of(const Args& args) {
-  if (args.has("chunk")) {
-    return parse_u64("chunk", args.get("chunk", ""));
-  }
-  if (args.has("stream")) {
-    return parse_u64("stream", args.get("stream", ""));
-  }
-  return 0;
+  return args.has("chunk") ? parse_u64("chunk", args.get("chunk", "")) : 0;
 }
 
 /// Read-only streaming options (predict/eval) from the flags.
@@ -416,9 +407,7 @@ int cmd_predict_remote(const Args& args) {
 
   const auto dataset = load_dataset(args);
   core::GraphHdEncoder encoder(client.config());
-  // Mirror serve::Client: the packed backend encodes packed, the dense
-  // backend encodes dense (the server converts to its scoring mode exactly).
-  const bool packed_backend = client.config().backend == core::Backend::kPackedBinary;
+  // Mirror serve::Client: every model is served from packed queries.
   const std::size_t window =
       std::max<std::size_t>(1, parse_u64("window", args.get("window", "64")));
 
@@ -436,9 +425,7 @@ int cmd_predict_remote(const Args& args) {
     if (pending.size() >= window) {
       collect_one();
     }
-    pending.push_back(packed_backend
-                          ? client.submit(encoder.encode_packed(dataset.graph(i)))
-                          : client.submit(encoder.encode(dataset.graph(i))));
+    pending.push_back(client.submit(encoder.encode_packed(dataset.graph(i))));
   }
   while (!pending.empty()) {
     collect_one();
@@ -827,8 +814,7 @@ void usage() {
                "input validation: flags are checked against each subcommand's\n"
                "allowed set (a typo'd flag errors out naming the nearest valid one), and\n"
                "numeric values are parsed strictly (no sign wrap, no trailing garbage).\n"
-               "--stream N is a deprecated alias of --chunk N; boolean flags (--resume,\n"
-               "--no-prefetch, --finish) take no value.\n");
+               "Boolean flags (--resume, --no-prefetch, --finish) take no value.\n");
 }
 
 }  // namespace

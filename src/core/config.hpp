@@ -24,14 +24,14 @@ enum class VertexIdentifier {
 
 [[nodiscard]] const char* to_string(VertexIdentifier id) noexcept;
 
-/// Which numeric representation the end-to-end pipeline runs on.
+/// The backend a model was configured with.  Persisted metadata: every
+/// model trains and predicts on packed words over one signed-counter class
+/// store whatever this says (see GraphHdModel).  The field is kept so
+/// artifacts, fixtures and the wire handshake stay byte-compatible, and the
+/// CLI derives its quantization default from it.
 enum class Backend {
-  kDenseBipolar,  ///< int8 bipolar vectors — the paper-exact reference path.
-  kPackedBinary,  ///< 64-bit packed binary words: XOR binding, popcount
-                  ///< Hamming similarity, packed class memory — the hardware
-                  ///< mapping the paper's efficiency claim appeals to.
-                  ///< Predictions are bit-identical to the dense quantized
-                  ///< model (enforced by tests/test_backend.cpp).
+  kDenseBipolar,  ///< the paper's int8 bipolar representation (the default).
+  kPackedBinary,  ///< 64-bit packed binary words; requires quantized_model.
 };
 
 [[nodiscard]] const char* to_string(Backend backend) noexcept;
@@ -43,7 +43,7 @@ enum class Backend {
 /// Backend selected by the GRAPHHD_BACKEND environment variable, `fallback`
 /// when the variable is unset or empty.  Throws std::runtime_error (naming
 /// the accepted values) on an unparsable value — a silently ignored typo
-/// would run every benchmark on the wrong backend.
+/// would stamp every artifact with the wrong backend.
 [[nodiscard]] Backend backend_from_env(Backend fallback);
 
 /// All knobs of GraphHD.  Defaults reproduce the paper's setup:
@@ -56,9 +56,8 @@ struct GraphHdConfig {
   VertexIdentifier identifier = VertexIdentifier::kPageRank;
   hdc::Similarity metric = hdc::Similarity::kCosine;
 
-  /// Numeric representation of the whole fit/predict pipeline.  The packed
-  /// backend requires quantized_model (binary class vectors are
-  /// majority-quantized by construction); validate() enforces this.
+  /// Persisted backend tag (see Backend).  kPackedBinary requires
+  /// quantized_model; validate() enforces this.
   Backend backend = Backend::kDenseBipolar;
 
   /// true  = class vectors are majority-thresholded bipolar vectors

@@ -260,51 +260,27 @@ Hypervector GraphHdEncoder::encode_bitslice(const Graph& graph,
   return bundler.threshold_bipolar(tie_break_seed_);
 }
 
-namespace {
-
-/// Shared chunked-parallel body of encode_dataset/encode_dataset_packed:
-/// chunk 0 uses `primary` on the caller thread, every other chunk a private
-/// encoder built from the same config.  The private encoders re-derive
-/// their basis vectors on every batch call — a deliberate trade: keeping
-/// them would add cross-call mutable state for a cost that is amortized
-/// over the whole chunk anyway.
-template <typename Output, typename EncodeOne>
-std::vector<Output> encode_dataset_impl(GraphHdEncoder& primary,
-                                        const data::GraphDataset& dataset,
-                                        EncodeOne&& encode_one) {
+std::vector<hdc::PackedHypervector> encode_dataset_packed(GraphHdEncoder& primary,
+                                                          const data::GraphDataset& dataset) {
+  // Chunk 0 uses `primary` on the caller thread, every other chunk a private
+  // encoder built from the same config.  The private encoders re-derive
+  // their basis vectors on every batch call — a deliberate trade: keeping
+  // them would add cross-call mutable state for a cost that is amortized
+  // over the whole chunk anyway.
   const GraphHdConfig& config = primary.config();
   const bool labeled = config.use_vertex_labels && dataset.has_vertex_labels();
-  std::vector<Output> encoded(dataset.size());
+  std::vector<hdc::PackedHypervector> encoded(dataset.size());
   parallel::parallel_for_chunks(
       dataset.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
         std::optional<GraphHdEncoder> local;
         if (chunk != 0) local.emplace(config);
         GraphHdEncoder& enc = chunk == 0 ? primary : *local;
         for (std::size_t i = begin; i < end; ++i) {
-          encoded[i] = encode_one(enc, i, labeled);
+          encoded[i] = labeled ? enc.encode_packed(dataset.graph(i), dataset.vertex_labels()[i])
+                               : enc.encode_packed(dataset.graph(i));
         }
       });
   return encoded;
-}
-
-}  // namespace
-
-std::vector<hdc::Hypervector> encode_dataset(GraphHdEncoder& primary,
-                                             const data::GraphDataset& dataset) {
-  return encode_dataset_impl<hdc::Hypervector>(
-      primary, dataset, [&](GraphHdEncoder& enc, std::size_t i, bool labeled) {
-        return labeled ? enc.encode(dataset.graph(i), dataset.vertex_labels()[i])
-                       : enc.encode(dataset.graph(i));
-      });
-}
-
-std::vector<hdc::PackedHypervector> encode_dataset_packed(GraphHdEncoder& primary,
-                                                          const data::GraphDataset& dataset) {
-  return encode_dataset_impl<hdc::PackedHypervector>(
-      primary, dataset, [&](GraphHdEncoder& enc, std::size_t i, bool labeled) {
-        return labeled ? enc.encode_packed(dataset.graph(i), dataset.vertex_labels()[i])
-                       : enc.encode_packed(dataset.graph(i));
-      });
 }
 
 }  // namespace graphhd::core

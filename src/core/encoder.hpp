@@ -11,9 +11,11 @@
 /// Graphs without edges fall back to bundling the vertex hypervectors (the
 /// paper's encoder is undefined for m = 0; see DESIGN.md).
 ///
-/// The encoder serves both backends: encode() produces the dense bipolar
-/// representation, encode_packed() the bit-packed binary one.  The two are
-/// exact images of each other — encode_packed(g) is always bit-identical to
+/// encode_packed() produces the bit-packed binary representation every
+/// model, snapshot and server runs on; encode() produces the dense bipolar
+/// one, kept as the reference path (the test oracle) and as the input path
+/// of the label and message-passing extensions.  The two are exact images of
+/// each other — encode_packed(g) is always bit-identical to
 /// PackedHypervector::from_bipolar(encode(g)) — but the packed baseline path
 /// (no labels, no message passing) never materializes a bipolar vector.
 
@@ -61,12 +63,11 @@ class GraphHdEncoder {
   /// have one entry per vertex.  Only used when config.use_vertex_labels.
   [[nodiscard]] Hypervector encode(const Graph& graph, std::span<const std::size_t> labels);
 
-  /// Encodes one graph straight into the packed binary representation
-  /// (kPackedBinary backend).  The structure-only baseline path runs
-  /// entirely on packed words (XOR bind + bit-sliced majority); the
-  /// extension paths (labels, message passing, bitslice disabled) fall back
-  /// to packing the dense encoding.  Always bit-identical to
-  /// from_bipolar(encode(...)).
+  /// Encodes one graph straight into the packed binary representation.
+  /// The structure-only baseline path runs entirely on packed words (XOR
+  /// bind + bit-sliced majority); the extension paths (labels, message
+  /// passing, bitslice disabled) fall back to packing the dense encoding.
+  /// Always bit-identical to from_bipolar(encode(...)).
   [[nodiscard]] hdc::PackedHypervector encode_packed(const Graph& graph);
 
   /// Packed encoding with vertex labels (extension VII.2).
@@ -108,21 +109,16 @@ class GraphHdEncoder {
   std::uint64_t tie_break_seed_;
 };
 
-/// Encodes every sample of `dataset` in parallel over the process-wide
-/// thread pool (parallel/thread_pool.hpp).  Chunk 0 runs on the caller
-/// thread and uses `primary` (so its lazily grown basis caches keep warming
-/// up, as in the serial path); every other chunk owns a private encoder
-/// built from primary.config().  Basis memories are seed-deterministic, so
-/// the resulting hypervectors are bit-identical to the serial loop at any
-/// thread count.  Vertex labels are bound in exactly when
-/// config.use_vertex_labels is set *and* the dataset carries labels —
+/// Encodes every sample of `dataset` into packed hypervectors, in parallel
+/// over the process-wide thread pool (parallel/thread_pool.hpp).  Chunk 0
+/// runs on the caller thread and uses `primary` (so its lazily grown basis
+/// caches keep warming up, as in the serial path); every other chunk owns a
+/// private encoder built from primary.config().  Basis memories are
+/// seed-deterministic, so the resulting hypervectors are bit-identical to
+/// the serial loop at any thread count.  Vertex labels are bound in exactly
+/// when config.use_vertex_labels is set *and* the dataset carries labels —
 /// the shared contract of fit/predict_batch/evaluate (GraphHdModel) and
 /// SnapshotPredictor.
-[[nodiscard]] std::vector<hdc::Hypervector> encode_dataset(GraphHdEncoder& primary,
-                                                           const data::GraphDataset& dataset);
-
-/// Packed-output counterpart of encode_dataset (same chunking and
-/// determinism guarantees; only the output representation differs).
 [[nodiscard]] std::vector<hdc::PackedHypervector> encode_dataset_packed(
     GraphHdEncoder& primary, const data::GraphDataset& dataset);
 

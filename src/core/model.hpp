@@ -7,7 +7,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/config.hpp"
@@ -16,7 +15,6 @@
 #include "core/snapshot.hpp"
 #include "data/dataset.hpp"
 #include "data/stream.hpp"
-#include "hdc/assoc_memory.hpp"
 #include "hdc/packed_assoc.hpp"
 
 namespace graphhd::core {
@@ -32,12 +30,14 @@ namespace graphhd::core {
 ///    are dealt round-robin onto prototypes; queries take the max.
 /// The model also supports true online learning via partial_fit.
 ///
-/// config.backend selects the numeric representation end to end:
-/// kDenseBipolar keeps the paper-exact int8 pipeline; kPackedBinary encodes
-/// graphs into packed words and classifies with XOR + popcount against a
-/// packed class memory.  The two backends produce bit-identical predictions
-/// for the quantized model (tests/test_backend.cpp); packed is the
-/// hardware-shaped fast path.
+/// One runtime representation serves every config: graphs are encoded into
+/// packed words (GraphHdEncoder::encode_packed) and bundled into one
+/// signed-counter class store (hdc::PackedClassMemory).  Quantized models
+/// classify with XOR + popcount against the majority-thresholded class
+/// vectors; non-quantized models with the exact counter cosine.  Both are
+/// bit-identical to the paper's dense bipolar arithmetic (the dense oracle
+/// of tests/test_backend.cpp).  config.backend is persisted metadata only:
+/// it does not change how a model trains or predicts.
 ///
 /// The model is the *trainer* half of the trainer/serving split
 /// (core/snapshot.hpp): every external predict path runs off snapshot(), an
@@ -79,10 +79,6 @@ class GraphHdModel {
   ///    tests/test_checkpoint.cpp).  The checkpoint file is removed on
   ///    successful completion.
   void fit_stream(data::GraphStream& stream, const TrainOptions& options = {});
-
-  /// Deprecated positional form of fit_stream — forwards to the TrainOptions
-  /// overload with `{.chunk = chunk_size}`.  Prefer the options overload.
-  void fit_stream(data::GraphStream& stream, std::size_t chunk_size);
 
   /// Sharded map-reduce training: partitions the stream round-robin into
   /// `options.shards` disjoint shard views (data::ShardedStream — sample i
@@ -175,21 +171,12 @@ class GraphHdModel {
   [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
                                                        const StreamOptions& options = {});
 
-  /// Deprecated positional forms of predict_stream — forward to the
-  /// StreamOptions overloads with `{.chunk = chunk_size}`.
-  void predict_stream(data::GraphStream& stream, std::size_t chunk_size,
-                      const std::function<void(std::size_t, const Prediction&)>& sink);
-  [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
-                                                       std::size_t chunk_size);
-
-  /// Predicts a pre-encoded hypervector (lets callers amortize encoding).
-  /// On the packed backend the query is packed first (one conversion, then
-  /// popcount scoring).
-  [[nodiscard]] Prediction predict_encoded(const hdc::Hypervector& encoded) const;
-
-  /// Predicts a pre-encoded packed hypervector.  On the dense backend the
-  /// query is unpacked first — prefer matching the model's backend.
+  /// Predicts a pre-encoded packed hypervector (lets callers amortize
+  /// encoding).
   [[nodiscard]] Prediction predict_encoded(const hdc::PackedHypervector& encoded) const;
+
+  /// Dense convenience overload: packs the bipolar query first.
+  [[nodiscard]] Prediction predict_encoded(const hdc::Hypervector& encoded) const;
 
   /// Batch accuracy against a labeled dataset.
   [[nodiscard]] double evaluate(const data::GraphDataset& test);
@@ -209,11 +196,9 @@ class GraphHdModel {
 
   // ---- persistence hooks (see core/serialize.hpp) ----
 
-  /// Dense training state; throws std::logic_error on the packed backend
-  /// (use packed_memory() there).
-  [[nodiscard]] const hdc::AssociativeMemory& memory() const;
-  /// Packed training state; throws std::logic_error on the dense backend.
-  [[nodiscard]] const hdc::PackedClassMemory& packed_memory() const;
+  /// The training state: one signed-counter class store spanning
+  /// num_classes * vectors_per_class slots.
+  [[nodiscard]] const hdc::PackedClassMemory& memory() const noexcept { return memory_; }
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
   [[nodiscard]] const std::vector<std::size_t>& replica_cursors() const noexcept {
     return next_replica_;
@@ -221,9 +206,9 @@ class GraphHdModel {
 
   /// Deserialization hook: replaces the learned state wholesale.  Sizes must
   /// match the model's slot layout (num_classes * vectors_per_class
-  /// accumulators/sample counts, num_classes cursors).  The accumulators are
-  /// the backend-agnostic signed-counter representation; on the packed
-  /// backend they are converted to packed accumulators (same raw state).
+  /// accumulators/sample counts, num_classes cursors).  The dense
+  /// accumulators carry the same raw signed-counter state as the store's
+  /// packed ones and are rewrapped as such.
   void restore_state(std::vector<hdc::BundleAccumulator> accumulators,
                      std::vector<std::size_t> sample_counts,
                      std::vector<std::size_t> replica_cursors, bool fitted);
@@ -254,11 +239,11 @@ class GraphHdModel {
   /// The perceptron retraining passes over `stream` (config_.retrain_epochs).
   void retrain_stream(data::GraphStream& stream, const StreamOptions& options);
 
-  /// Replaces this model's learned state with `source`'s (checkpoint resume).
-  /// Configs/class counts must already be verified equal by the caller.
-  void adopt_state(const GraphHdModel& source);
+  /// One perceptron step (extension VII.1a): when `encoded` is mispredicted,
+  /// adds it to the best slot of its true class and subtracts it from the
+  /// winning slot.  Returns whether it was mispredicted.
+  bool retrain_sample(const hdc::PackedHypervector& encoded, std::size_t label);
 
-  [[nodiscard]] std::size_t slot_count(std::size_t slot) const;
   [[nodiscard]] std::size_t slot_of(std::size_t class_id, std::size_t replica) const noexcept {
     return class_id * config_.vectors_per_class + replica;
   }
@@ -274,10 +259,7 @@ class GraphHdModel {
   GraphHdConfig config_;
   std::size_t num_classes_;
   GraphHdEncoder encoder_;
-  /// Exactly one of the two memories exists, selected by config_.backend;
-  /// both span num_classes * vectors_per_class slots.
-  std::optional<hdc::AssociativeMemory> dense_memory_;
-  std::optional<hdc::PackedClassMemory> packed_memory_;
+  hdc::PackedClassMemory memory_;
   std::vector<std::size_t> next_replica_;  ///< round-robin cursor per class.
   bool fitted_ = false;
   /// Lazily built inference view of the current state (see snapshot()).

@@ -840,10 +840,9 @@ void save_model_text(const GraphHdModel& model, std::ostream& out) {
   for (const std::size_t cursor : model.replica_cursors()) out << ' ' << cursor;
   out << '\n';
 
-  // Both backends keep the same signed-counter slot state; only where it
-  // lives differs.  Writing the shared raw form keeps the file format
-  // backend-portable (a packed model can be reloaded as a dense one by
-  // editing the header, and vice versa — same predictions either way).
+  // The slot state is the raw signed counters, whatever the backend line
+  // says — the file format stays backend-portable (a packed model reloads
+  // as a dense one by editing the header, same predictions either way).
   const auto write_slot = [&out](std::size_t slot, std::size_t samples, const auto& acc) {
     out << "slot " << slot << ' ' << samples << ' ' << acc.count() << ' '
         << (acc.tie_free() ? 1 : 0) << '\n';
@@ -855,12 +854,7 @@ void save_model_text(const GraphHdModel& model, std::ostream& out) {
   };
   const std::size_t slots = model.num_classes() * config.vectors_per_class;
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    if (config.backend == Backend::kPackedBinary) {
-      write_slot(slot, model.packed_memory().class_count(slot),
-                 model.packed_memory().accumulator(slot));
-    } else {
-      write_slot(slot, model.memory().class_count(slot), model.memory().accumulator(slot));
-    }
+    write_slot(slot, model.memory().class_count(slot), model.memory().accumulator(slot));
   }
   if (!out) {
     throw std::runtime_error("save_model: stream failure while writing");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -141,11 +140,8 @@ hdc::QueryResult InferenceSnapshot::query(const hdc::PackedHypervector& query_hv
   if (query_hv.dimension() != config_.dimension) {
     throw std::invalid_argument("InferenceSnapshot::query: dimension mismatch");
   }
-  if (scores_counters()) {
-    // The non-quantized model scores against raw integer counters; unpacking
-    // recovers the exact bipolar components (the packing is a bijection on
-    // ±1 data), matching what the trainer does with a packed query.
-    return query_counters(query_hv.to_bipolar());
+  if (!config_.quantized_model) {
+    return query_counters(query_hv.words().data());
   }
   const std::size_t num_slots = slots();
   DistanceBuffer distances(num_slots);
@@ -166,40 +162,16 @@ hdc::QueryResult InferenceSnapshot::query(const hdc::PackedHypervector& query_hv
 }
 
 hdc::QueryResult InferenceSnapshot::query(const hdc::Hypervector& query_hv) const {
-  if (query_hv.dimension() != config_.dimension) {
-    throw std::invalid_argument("InferenceSnapshot::query: dimension mismatch");
-  }
-  if (scores_counters()) {
-    return query_counters(query_hv);
-  }
-  // Quantized scoring reduces every metric to the Hamming distance against
-  // the packed class words (dot == d - 2h on bipolar data), so one packing
-  // of the query routes it through the batched kernel with bit-identical
-  // similarity doubles to the dense memory's dot path.
   return query(hdc::PackedHypervector::from_bipolar(query_hv));
 }
 
-hdc::QueryResult InferenceSnapshot::query_counters(const hdc::Hypervector& query_hv) const {
-  // Reproduces BundleAccumulator::cosine exactly (same accumulation order,
-  // same widening, same norm expression), so the non-quantized doubles are
-  // bit-identical to the trainer's.
-  const auto comps = query_hv.components();
+hdc::QueryResult InferenceSnapshot::query_counters(const std::uint64_t* words) const {
+  const std::span<const std::uint64_t> query_words{words, words_per_slot_};
   hdc::QueryResult result;
   result.similarities.resize(slots());
   for (std::size_t slot = 0; slot < slots(); ++slot) {
-    const std::int32_t* counts = counters_base_ + slot * config_.dimension;
-    std::int64_t dot = 0;
-    std::int64_t norm_sq = 0;
-    for (std::size_t i = 0; i < config_.dimension; ++i) {
-      dot += static_cast<std::int64_t>(counts[i]) * comps[i];
-      norm_sq += static_cast<std::int64_t>(counts[i]) * counts[i];
-    }
-    double s = 0.0;
-    if (norm_sq != 0) {
-      const double denom = std::sqrt(static_cast<double>(norm_sq)) *
-                           std::sqrt(static_cast<double>(config_.dimension));
-      s = static_cast<double>(dot) / denom;
-    }
+    const double s = hdc::counter_cosine(
+        {counters_base_ + slot * config_.dimension, config_.dimension}, query_words);
     result.similarities[slot] = s;
     if (s > result.best_similarity) {
       result.best_similarity = s;
@@ -224,10 +196,9 @@ Prediction InferenceSnapshot::prediction_from(const hdc::QueryResult& result) co
 
 void InferenceSnapshot::predict_encoded_batch(const std::uint64_t* const* query_rows,
                                               std::size_t count, Prediction* out) const {
-  if (scores_counters()) {
-    throw std::logic_error(
-        "InferenceSnapshot::predict_encoded_batch: non-quantized models score raw counters; "
-        "packed queries cannot reproduce the counter cosine");
+  if (!config_.quantized_model) {
+    for (std::size_t q = 0; q < count; ++q) out[q] = prediction_from(query_counters(query_rows[q]));
+    return;
   }
   if (count == 0) return;
   const std::size_t num_slots = slots();
@@ -290,7 +261,7 @@ bool encoder_compatible(const GraphHdConfig& a, const GraphHdConfig& b) noexcept
          a.pagerank_damping == b.pagerank_damping &&
          a.use_bitslice_bundling == b.use_bitslice_bundling &&
          a.use_vertex_labels == b.use_vertex_labels &&
-         a.neighborhood_rounds == b.neighborhood_rounds && a.backend == b.backend;
+         a.neighborhood_rounds == b.neighborhood_rounds;
 }
 
 namespace {
@@ -315,78 +286,69 @@ void SnapshotPredictor::swap(std::shared_ptr<const InferenceSnapshot> next) {
   if (!encoder_compatible(snapshot_->config(), next->config())) {
     throw std::invalid_argument(
         "SnapshotPredictor::swap: replacement snapshot is encoder-incompatible "
-        "(dimension/seed/identifier/pagerank/labels/rounds/bitslice/backend must match)");
+        "(dimension/seed/identifier/pagerank/labels/rounds/bitslice must match)");
   }
   snapshot_ = std::move(next);
 }
 
 Prediction SnapshotPredictor::predict(const graph::Graph& graph) {
-  if (snapshot_->config().backend == Backend::kPackedBinary) {
-    return snapshot_->predict_encoded(encoder_.encode_packed(graph));
-  }
-  return snapshot_->predict_encoded(encoder_.encode(graph));
+  return snapshot_->predict_encoded(encoder_.encode_packed(graph));
 }
 
 std::vector<Prediction> SnapshotPredictor::predict_batch(const data::GraphDataset& test) {
-  // Same shape as GraphHdModel::predict_batch: encode in parallel, then
-  // query concurrently — every query is a pure read on the immutable
-  // snapshot, no finalize step needed.
   const std::shared_ptr<const InferenceSnapshot> snap = snapshot_;
-  std::vector<Prediction> predictions(test.size());
-  if (snap->config().backend == Backend::kPackedBinary) {
-    const auto encoded = encode_dataset_packed(encoder_, test);
-    parallel::parallel_for(
-        test.size(), [&](std::size_t i) { predictions[i] = snap->predict_encoded(encoded[i]); });
-    return predictions;
-  }
-  const auto encoded = encode_dataset(encoder_, test);
-  parallel::parallel_for(
-      test.size(), [&](std::size_t i) { predictions[i] = snap->predict_encoded(encoded[i]); });
-  return predictions;
+  return core::predict_batch(*snap, encoder_, test);
 }
 
 void SnapshotPredictor::predict_stream(
-    data::GraphStream& stream, std::size_t chunk_size,
+    data::GraphStream& stream, const StreamOptions& options,
     const std::function<void(std::size_t, const Prediction&)>& sink) {
-  if (chunk_size == 0) {
-    throw std::invalid_argument("SnapshotPredictor::predict_stream: chunk_size must be positive");
-  }
-  // Pin one snapshot for the whole pass so a concurrent swap() cannot mix
-  // models within a stream.
   const std::shared_ptr<const InferenceSnapshot> snap = snapshot_;
+  core::predict_stream(*snap, encoder_, stream, options, sink);
+}
+
+std::vector<Prediction> SnapshotPredictor::predict_stream(data::GraphStream& stream,
+                                                          const StreamOptions& options) {
+  const std::shared_ptr<const InferenceSnapshot> snap = snapshot_;
+  return core::predict_stream(*snap, encoder_, stream, options);
+}
+
+std::vector<Prediction> predict_batch(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+                                      const data::GraphDataset& test) {
+  // Encode in parallel, then query concurrently: every query is one batched
+  // one-vs-all distance kernel (hdc/kernels) against every class slot, a
+  // pure read on the immutable snapshot.
+  const std::vector<hdc::PackedHypervector> encoded = encode_dataset_packed(encoder, test);
+  std::vector<Prediction> predictions(test.size());
+  parallel::parallel_for(
+      test.size(), [&](std::size_t i) { predictions[i] = snapshot.predict_encoded(encoded[i]); });
+  return predictions;
+}
+
+void predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+                    data::GraphStream& stream, const StreamOptions& options,
+                    const std::function<void(std::size_t, const Prediction&)>& sink) {
+  options.validate("predict_stream");
   stream.reset();
   std::size_t index = 0;
+  data::ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
   while (true) {
-    const data::GraphDataset chunk = data::next_chunk(stream, chunk_size);
+    const data::GraphDataset chunk = fetcher.next();
     if (chunk.empty()) break;
-    std::vector<Prediction> predictions(chunk.size());
-    if (snap->config().backend == Backend::kPackedBinary) {
-      const auto encoded = encode_dataset_packed(encoder_, chunk);
-      parallel::parallel_for(chunk.size(), [&](std::size_t i) {
-        predictions[i] = snap->predict_encoded(encoded[i]);
-      });
-    } else {
-      const auto encoded = encode_dataset(encoder_, chunk);
-      parallel::parallel_for(chunk.size(), [&](std::size_t i) {
-        predictions[i] = snap->predict_encoded(encoded[i]);
-      });
-    }
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-      sink(index++, predictions[i]);
+    for (const Prediction& prediction : predict_batch(snapshot, encoder, chunk)) {
+      sink(index++, prediction);
     }
   }
 }
 
-std::vector<Prediction> SnapshotPredictor::predict_stream(data::GraphStream& stream,
-                                                          std::size_t chunk_size) {
+std::vector<Prediction> predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+                                       data::GraphStream& stream, const StreamOptions& options) {
   std::vector<Prediction> predictions;
   if (const auto hint = stream.size_hint(); hint.has_value()) predictions.reserve(*hint);
-  predict_stream(stream, chunk_size, [&](std::size_t index, const Prediction& prediction) {
-    if (index != predictions.size()) {
-      throw std::logic_error("SnapshotPredictor::predict_stream: out-of-order sink index");
-    }
-    predictions.push_back(prediction);
-  });
+  predict_stream(snapshot, encoder, stream, options,
+                 [&](std::size_t, const Prediction& prediction) {
+                   predictions.push_back(prediction);
+                 });
   return predictions;
 }
 

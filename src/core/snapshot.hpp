@@ -12,18 +12,18 @@
 ///  * the finalized packed class words (the majority-quantized class
 ///    vectors, 64 components per machine word) plus a row-pointer table for
 ///    the batched one-vs-all Hamming kernel;
-///  * the raw signed counters (needed by the non-quantized scoring mode and
-///    to upgrade a snapshot back into a trainer);
+///  * the raw signed counters (scored by non-quantized models and needed to
+///    upgrade a snapshot back into a trainer);
 ///  * per-slot metadata (sample count, add count, tie parity) and the
 ///    replica cursors, so a snapshot round-trips through the v3 artifact
 ///    without consulting the trainer again.
 ///
-/// Quantized models (both backends) score queries with XOR + popcount
-/// against the packed words and hdc::similarity_from_hamming — bit-identical
-/// doubles to the dense quantized memory (dot == d - 2h on bipolar data).
-/// Non-quantized dense models reproduce BundleAccumulator::cosine over the
-/// counter rows exactly.  Either way a snapshot's QueryResult is
-/// bit-identical to the trainer's.
+/// Every query is a packed hypervector.  Quantized models score it with an
+/// XOR/popcount pass over the packed words and hdc::similarity_from_hamming —
+/// bit-identical doubles to the dense quantized reference (dot == d - 2h on
+/// bipolar data).  Non-quantized models score it with hdc::counter_cosine
+/// over the counter rows — bit-identical to BundleAccumulator::cosine.
+/// Either way a snapshot's QueryResult is bit-identical to the trainer's.
 ///
 /// Storage is either owned (built from a trainer or a full artifact read) or
 /// *borrowed* from a memory-mapped v3 artifact, kept alive by a shared
@@ -42,10 +42,11 @@
 
 #include "core/config.hpp"
 #include "core/encoder.hpp"
+#include "core/options.hpp"
 #include "data/dataset.hpp"
 #include "data/stream.hpp"
-#include "hdc/assoc_memory.hpp"
 #include "hdc/packed.hpp"
+#include "hdc/packed_assoc.hpp"
 
 namespace graphhd::core {
 
@@ -112,15 +113,13 @@ class InferenceSnapshot {
   /// the paper argues for): slots * ceil(d / 8) bytes.
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
-  /// Classifies a packed query against every class slot — one batched XOR +
-  /// popcount kernel pass.  Requires a quantized model (throws
-  /// std::logic_error otherwise: a packed query cannot reproduce the
-  /// non-quantized counter cosine without the dense components).
+  /// Classifies a packed query against every class slot: one batched XOR +
+  /// popcount kernel pass for quantized models, hdc::counter_cosine per
+  /// counter row otherwise.
   [[nodiscard]] hdc::QueryResult query(const hdc::PackedHypervector& query_hv) const;
 
-  /// Classifies a dense bipolar query.  Quantized models pack the query and
-  /// take the Hamming path (bit-identical doubles); non-quantized models
-  /// reproduce BundleAccumulator::cosine over the counter rows exactly.
+  /// Dense convenience overload: packs the bipolar query (from_bipolar is
+  /// exact on ±1 data) and forwards to the packed query.
   [[nodiscard]] hdc::QueryResult query(const hdc::Hypervector& query_hv) const;
 
   /// Maps a slot-level QueryResult to a class-level Prediction (max over a
@@ -139,8 +138,9 @@ class InferenceSnapshot {
   /// query kernel setup, distance-buffer allocation and snapshot row traffic
   /// amortize over the batch.  The distances are the same exact integers and
   /// the slot scan order is unchanged, so every Prediction is bit-identical
-  /// to predict_encoded on that query alone.  Requires a quantized model
-  /// (throws std::logic_error otherwise, like the packed query() overload).
+  /// to predict_encoded on that query alone.  Non-quantized models score
+  /// each query of the batch with hdc::counter_cosine instead (the counter
+  /// cosine has no shared Hamming sweep to coalesce).
   void predict_encoded_batch(const std::uint64_t* const* query_rows, std::size_t count,
                              Prediction* out) const;
 
@@ -151,14 +151,9 @@ class InferenceSnapshot {
 
  private:
   void init_rows_and_validate();
-  /// True when queries score against raw counters (the non-quantized dense
-  /// model).  The packed backend is quantized by construction — binary class
-  /// vectors are majority-thresholded — so it always takes the Hamming path,
-  /// mirroring PackedClassMemory.
-  [[nodiscard]] bool scores_counters() const noexcept {
-    return !config_.quantized_model && config_.backend != Backend::kPackedBinary;
-  }
-  [[nodiscard]] hdc::QueryResult query_counters(const hdc::Hypervector& query_hv) const;
+  /// Scores one packed query against the raw counter rows (non-quantized
+  /// models); `words` holds words_per_slot() words.
+  [[nodiscard]] hdc::QueryResult query_counters(const std::uint64_t* words) const;
 
   GraphHdConfig config_;
   std::size_t num_classes_ = 0;
@@ -182,13 +177,13 @@ class InferenceSnapshot {
 /// Serving front end over a snapshot: owns a GraphHdEncoder built from the
 /// snapshot's config, so a process that never constructed a trainer (e.g.
 /// one that mmap'd a v3 artifact) can answer graph-level predictions.  The
-/// predict paths mirror GraphHdModel's (same chunked parallel encoding, same
-/// determinism guarantees, bit-identical results).
+/// predict paths are GraphHdModel's (the shared predict_batch/predict_stream
+/// free functions below), so results are bit-identical.
 ///
 /// swap() atomically publishes a new snapshot to subsequent predict calls —
 /// the hot-swap primitive.  The replacement must agree with the current
 /// snapshot on every encoding-relevant config field (dimension, seed,
-/// identifier, PageRank knobs, labels, rounds, bitslice, backend), because
+/// identifier, PageRank knobs, labels, rounds, bitslice), because
 /// the encoder and its lazily grown basis caches are retained; the *class
 /// layout* (num_classes, metric, counters) may change freely.
 class SnapshotPredictor {
@@ -206,10 +201,12 @@ class SnapshotPredictor {
 
   [[nodiscard]] Prediction predict(const graph::Graph& graph);
   [[nodiscard]] std::vector<Prediction> predict_batch(const data::GraphDataset& test);
-  void predict_stream(data::GraphStream& stream, std::size_t chunk_size,
+  /// Streaming prediction over one snapshot pinned for the whole pass, so a
+  /// concurrent swap() cannot mix models within a stream.
+  void predict_stream(data::GraphStream& stream, const StreamOptions& options,
                       const std::function<void(std::size_t, const Prediction&)>& sink);
   [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
-                                                       std::size_t chunk_size = 64);
+                                                       const StreamOptions& options = {});
 
  private:
   std::shared_ptr<const InferenceSnapshot> snapshot_;
@@ -217,7 +214,30 @@ class SnapshotPredictor {
 };
 
 /// True when `a` and `b` agree on every field the encoder depends on (the
-/// compatibility contract of SnapshotPredictor::swap).
+/// compatibility contract of SnapshotPredictor::swap).  `backend` is not one
+/// of them: every backend encodes with encode_packed.
 [[nodiscard]] bool encoder_compatible(const GraphHdConfig& a, const GraphHdConfig& b) noexcept;
+
+/// The batch predict loop shared by GraphHdModel and SnapshotPredictor:
+/// encodes `test` in parallel (encode_dataset_packed), then queries
+/// `snapshot` concurrently — every query is a pure read.
+[[nodiscard]] std::vector<Prediction> predict_batch(const InferenceSnapshot& snapshot,
+                                                    GraphHdEncoder& encoder,
+                                                    const data::GraphDataset& test);
+
+/// The streaming predict loop shared by GraphHdModel and SnapshotPredictor:
+/// pulls `options.chunk` graphs at a time (prefetching the next chunk when
+/// options.prefetch), predicts each chunk as predict_batch does and hands
+/// every prediction to `sink` in stream order.  Bit-identical to
+/// predict_batch on the materialized stream.
+void predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+                    data::GraphStream& stream, const StreamOptions& options,
+                    const std::function<void(std::size_t, const Prediction&)>& sink);
+
+/// Collecting form of the streaming loop.
+[[nodiscard]] std::vector<Prediction> predict_stream(const InferenceSnapshot& snapshot,
+                                                     GraphHdEncoder& encoder,
+                                                     data::GraphStream& stream,
+                                                     const StreamOptions& options);
 
 }  // namespace graphhd::core

@@ -45,6 +45,33 @@ GraphDataset next_chunk(GraphStream& stream, std::size_t max_graphs, const std::
   return chunk;
 }
 
+ChunkFetcher::ChunkFetcher(GraphStream& stream, std::size_t chunk, bool prefetch)
+    : stream_(stream), chunk_(chunk), prefetch_(prefetch) {
+  if (prefetch_) pending_ = launch();
+}
+
+ChunkFetcher::~ChunkFetcher() {
+  if (pending_.valid()) {
+    try {
+      (void)pending_.get();
+    } catch (...) {  // NOLINT(bugprone-empty-catch)
+    }
+  }
+}
+
+GraphDataset ChunkFetcher::next() {
+  if (!prefetch_) return next_chunk(stream_, chunk_);
+  if (!pending_.valid()) return GraphDataset("chunk", {}, {});  // already exhausted.
+  GraphDataset ready = pending_.get();
+  // Don't speculate past the end: an exhausted stream stays untouched.
+  if (!ready.empty()) pending_ = launch();
+  return ready;
+}
+
+std::future<GraphDataset> ChunkFetcher::launch() {
+  return std::async(std::launch::async, [this] { return next_chunk(stream_, chunk_); });
+}
+
 GraphDataset materialize(GraphStream& stream, const std::string& name) {
   stream.reset();
   std::vector<Graph> graphs;

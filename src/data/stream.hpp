@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -105,6 +106,33 @@ class GraphStream {
 /// Drains the whole stream into one dataset (reset first, then pull to the
 /// end) — the materialization used by equivalence tests and small callers.
 [[nodiscard]] GraphDataset materialize(GraphStream& stream, const std::string& name = "stream");
+
+/// Double-buffered chunk puller: with prefetch on, chunk N+1 is pulled and
+/// parsed on one background thread while the caller encodes chunk N.  The
+/// stream is only ever touched by the single in-flight task (or, between
+/// tasks, by nobody), so stream access stays strictly serialized and the
+/// produced chunk sequence is identical to the synchronous next_chunk pulls.
+class ChunkFetcher {
+ public:
+  ChunkFetcher(GraphStream& stream, std::size_t chunk, bool prefetch);
+  ChunkFetcher(const ChunkFetcher&) = delete;
+  ChunkFetcher& operator=(const ChunkFetcher&) = delete;
+  /// Drains the in-flight pull so the stream is never touched after the
+  /// fetcher is gone; destruction is abandonment, so its errors are moot.
+  ~ChunkFetcher();
+
+  /// Next chunk in stream order; empty = exhausted.  Pull errors (parse
+  /// failures, I/O) rethrow here, on the caller's thread.
+  [[nodiscard]] GraphDataset next();
+
+ private:
+  [[nodiscard]] std::future<GraphDataset> launch();
+
+  GraphStream& stream_;
+  std::size_t chunk_;
+  bool prefetch_;
+  std::future<GraphDataset> pending_;
+};
 
 /// Adapter: streams an in-memory dataset (no copy until samples are pulled).
 /// The dataset must outlive the stream.

@@ -50,7 +50,7 @@ CvResult run_graphhd_stream_cv(data::GraphStream& stream, const std::string& dat
                                bool honor_backend_env) {
   std::fprintf(stderr, "[eval-stream] %-10s x GraphHD (%zu folds x %zu reps, chunk %zu)...\n",
                dataset_name.c_str(), config.cv.folds, config.cv.repetitions,
-               config.cv.stream_options().chunk);
+               config.cv.stream.chunk);
   return cross_validate_stream("GraphHD",
                                make_graphhd_stream_factory(hd_config, honor_backend_env),
                                stream, dataset_name, config.cv);

@@ -44,8 +44,8 @@ struct ExperimentConfig {
 
 /// Runs the CV protocol for GraphHD over a GraphStream through
 /// cross_validate_stream — the streaming counterpart of one fig-3 cell,
-/// shared by `graphhd_cli eval --stream` and bench/stress_eval.  Uses
-/// config.cv (folds / repetitions / seed / stream_chunk / stratified).
+/// shared by `graphhd_cli eval --chunk` and bench/stress_eval.  Uses
+/// config.cv (folds / repetitions / seed / stream options / stratified).
 /// `honor_backend_env` as in make_graphhd_factory: callers that resolved
 /// the backend themselves (CLI --backend flag) pass false.
 [[nodiscard]] CvResult run_graphhd_stream_cv(data::GraphStream& stream,

@@ -1,6 +1,7 @@
 #include "hdc/packed_assoc.hpp"
 
 #include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "hdc/kernels/kernels.hpp"
@@ -27,16 +28,6 @@ struct DistanceBuffer {
   std::size_t* data;
 };
 
-/// Similarity of one packed query/class pair from its Hamming distance —
-/// the exact expression PackedHypervector::similarity uses, hoisted so the
-/// one-vs-all loop has a single conversion site (bit-identical doubles are
-/// the contract here; see also PackedClassMemory::score_from_distance for
-/// the metric-parameterized form).
-double similarity_from_distance(std::size_t hamming, std::size_t dimension) {
-  if (dimension == 0) return 0.0;
-  return 1.0 - 2.0 * static_cast<double>(hamming) / static_cast<double>(dimension);
-}
-
 /// Shared row-table builder: the batched distance kernel wants one pointer
 /// per class row, and every (re)build must come through here so the
 /// aliasing invariant (pointers into exactly these vectors) has one home.
@@ -49,72 +40,49 @@ std::vector<const std::uint64_t*> make_row_table(
 
 }  // namespace
 
-PackedAssociativeMemory::PackedAssociativeMemory(const AssociativeMemory& memory)
-    : dimension_(memory.dimension()) {
-  class_vectors_.reserve(memory.num_classes());
-  for (std::size_t c = 0; c < memory.num_classes(); ++c) {
-    class_vectors_.push_back(PackedHypervector::from_bipolar(memory.class_vector(c)));
-  }
-  rows_ = make_row_table(class_vectors_);
-}
-
-PackedAssociativeMemory::PackedAssociativeMemory(const PackedAssociativeMemory& other)
-    : dimension_(other.dimension_),
-      class_vectors_(other.class_vectors_),
-      rows_(make_row_table(class_vectors_)) {}
-
-PackedAssociativeMemory& PackedAssociativeMemory::operator=(
-    const PackedAssociativeMemory& other) {
-  if (this != &other) {
-    dimension_ = other.dimension_;
-    class_vectors_ = other.class_vectors_;
-    rows_ = make_row_table(class_vectors_);
-  }
-  return *this;
-}
-
-QueryResult PackedAssociativeMemory::query(const PackedHypervector& query_hv) const {
-  if (query_hv.dimension() != dimension_) {
-    throw std::invalid_argument("PackedAssociativeMemory::query: dimension mismatch");
-  }
-  // One batched kernel call computes every class distance (the one-vs-all
-  // inference op); the similarity arithmetic is the exact expression
-  // PackedHypervector::similarity used, so the doubles are unchanged.
-  const std::size_t num_classes = class_vectors_.size();
-  DistanceBuffer distances(num_classes);
-  kernels::active().hamming_batch(query_hv.words().data(), rows_.data(), num_classes,
-                                  query_hv.words().size(), distances.data);
-  QueryResult result;
-  result.similarities.resize(num_classes);
-  for (std::size_t c = 0; c < num_classes; ++c) {
-    const double s = similarity_from_distance(distances.data[c], dimension_);
-    result.similarities[c] = s;
-    if (s > result.best_similarity) {
-      result.best_similarity = s;
-      result.best_class = c;
+double QueryResult::margin() const noexcept {
+  if (similarities.size() < 2) return 0.0;
+  double best = -2.0, second = -2.0;
+  for (const double s : similarities) {
+    if (s > best) {
+      second = best;
+      best = s;
+    } else if (s > second) {
+      second = s;
     }
   }
-  return result;
+  return best - second;
 }
 
-QueryResult PackedAssociativeMemory::query(const Hypervector& query_hv) const {
-  return query(PackedHypervector::from_bipolar(query_hv));
-}
-
-const PackedHypervector& PackedAssociativeMemory::class_vector(std::size_t label) const {
-  if (label >= class_vectors_.size()) {
-    throw std::out_of_range("PackedAssociativeMemory::class_vector: label out of range");
+double counter_cosine(std::span<const std::int32_t> counts,
+                      std::span<const std::uint64_t> query_words) {
+  if (query_words.size() * 64 < counts.size()) {
+    throw std::invalid_argument("counter_cosine: query has fewer words than the counter row");
   }
-  return class_vectors_[label];
-}
-
-std::size_t PackedAssociativeMemory::footprint_bytes() const noexcept {
-  return class_vectors_.size() * ((dimension_ + 7) / 8);
+  if (counts.empty()) return 0.0;
+  // Σ c_i·q_i with q_i = 1 - 2·bit_i, split into Σc and Σ_{bit set} c so the
+  // packed bits are read directly — the same int64 dot as the dense loop.
+  std::int64_t sum = 0;
+  std::int64_t set_sum = 0;
+  std::int64_t norm_sq = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::int64_t c = counts[i];
+    const auto bit = static_cast<std::int64_t>((query_words[i >> 6] >> (i & 63)) & 1u);
+    sum += c;
+    set_sum += c & -bit;
+    norm_sq += c * c;
+  }
+  if (norm_sq == 0) return 0.0;
+  const std::int64_t dot = sum - 2 * set_sum;
+  const double denom =
+      std::sqrt(static_cast<double>(norm_sq)) * std::sqrt(static_cast<double>(counts.size()));
+  return static_cast<double>(dot) / denom;
 }
 
 PackedClassMemory::PackedClassMemory(const PackedClassMemory& other)
     : dimension_(other.dimension_),
       metric_(other.metric_),
+      quantized_(other.quantized_),
       accumulators_(other.accumulators_),
       counts_(other.counts_),
       cached_class_vectors_(other.cached_class_vectors_),
@@ -125,6 +93,7 @@ PackedClassMemory& PackedClassMemory::operator=(const PackedClassMemory& other) 
   if (this != &other) {
     dimension_ = other.dimension_;
     metric_ = other.metric_;
+    quantized_ = other.quantized_;
     accumulators_ = other.accumulators_;
     counts_ = other.counts_;
     cached_class_vectors_ = other.cached_class_vectors_;
@@ -135,8 +104,8 @@ PackedClassMemory& PackedClassMemory::operator=(const PackedClassMemory& other) 
 }
 
 PackedClassMemory::PackedClassMemory(std::size_t dimension, std::size_t num_classes,
-                                     Similarity metric)
-    : dimension_(dimension), metric_(metric) {
+                                     Similarity metric, bool quantized)
+    : dimension_(dimension), metric_(metric), quantized_(quantized) {
   if (dimension == 0) {
     throw std::invalid_argument("PackedClassMemory: dimension must be positive");
   }
@@ -204,7 +173,7 @@ void PackedClassMemory::restore(std::size_t label, PackedBundleAccumulator accum
 
 void PackedClassMemory::merge(const PackedClassMemory& other) {
   if (other.dimension_ != dimension_ || other.accumulators_.size() != accumulators_.size() ||
-      other.metric_ != metric_) {
+      other.metric_ != metric_ || other.quantized_ != quantized_) {
     throw std::invalid_argument("PackedClassMemory::merge: memory layout mismatch");
   }
   for (std::size_t slot = 0; slot < accumulators_.size(); ++slot) {
@@ -219,9 +188,9 @@ void PackedClassMemory::finalize() const {
   cached_class_vectors_.clear();
   cached_class_vectors_.reserve(accumulators_.size());
   for (std::size_t c = 0; c < accumulators_.size(); ++c) {
-    // Per-class tie-break stream, same seed constant as
-    // AssociativeMemory::finalize — the packed class vectors must be the
-    // exact packing of the dense quantized class vectors.
+    // Per-class tie-break stream keeps empty classes distinct from each
+    // other; the seed is the dense reference's, so each class vector is the
+    // exact packing of BundleAccumulator::threshold on the same counters.
     cached_class_vectors_.push_back(
         accumulators_[c].threshold(derive_seed(kMajorityTieSeed, c)));
   }
@@ -229,32 +198,33 @@ void PackedClassMemory::finalize() const {
   dirty_ = false;
 }
 
-double PackedClassMemory::score_from_distance(std::size_t h) const {
-  // similarity_from_hamming reproduces the dense quantized memory's
-  // arithmetic exactly, so the similarity doubles (not just the argmax) are
-  // bit-identical across representations.
-  return similarity_from_hamming(metric_, h, dimension_);
-}
-
 QueryResult PackedClassMemory::query(const PackedHypervector& query_hv) const {
   if (query_hv.dimension() != dimension_) {
     throw std::invalid_argument("PackedClassMemory::query: dimension mismatch");
   }
-  // finalize() also keeps the row-pointer table fresh, so the batched
-  // kernel call below is a pure read — the associative-memory op the
-  // dispatch layer exists for.
-  finalize();
   const std::size_t num_slots = accumulators_.size();
-  DistanceBuffer distances(num_slots);
-  kernels::active().hamming_batch(query_hv.words().data(), cached_rows_.data(), num_slots,
-                                  query_hv.words().size(), distances.data);
   QueryResult result;
   result.similarities.resize(num_slots);
+  if (quantized_) {
+    // finalize() also keeps the row-pointer table fresh, so the batched
+    // kernel call below is a pure read — the associative-memory op the
+    // dispatch layer exists for.  similarity_from_hamming reproduces the
+    // dense quantized arithmetic exactly.
+    finalize();
+    DistanceBuffer distances(num_slots);
+    kernels::active().hamming_batch(query_hv.words().data(), cached_rows_.data(), num_slots,
+                                    query_hv.words().size(), distances.data);
+    for (std::size_t c = 0; c < num_slots; ++c) {
+      result.similarities[c] = similarity_from_hamming(metric_, distances.data[c], dimension_);
+    }
+  } else {
+    for (std::size_t c = 0; c < num_slots; ++c) {
+      result.similarities[c] = counter_cosine(accumulators_[c].counts(), query_hv.words());
+    }
+  }
   for (std::size_t c = 0; c < num_slots; ++c) {
-    const double s = score_from_distance(distances.data[c]);
-    result.similarities[c] = s;
-    if (s > result.best_similarity) {
-      result.best_similarity = s;
+    if (result.similarities[c] > result.best_similarity) {
+      result.best_similarity = result.similarities[c];
       result.best_class = c;
     }
   }

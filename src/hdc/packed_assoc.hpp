@@ -1,88 +1,69 @@
 /// \file packed_assoc.hpp
-/// Bit-packed associative memory — hardware-style inference.
+/// The associative memory M = {C1, ..., Ck}: the trained HDC class store.
 ///
-/// The paper's efficiency argument leans on associative-memory hardware
-/// (Schmuck et al.): with binary class vectors, one inference is k Hamming
-/// distances, each a row of XOR + popcount — the operation FPGA/ASIC
-/// mappings execute in a single cycle per class.  Two software analogues
-/// live here:
+/// Training (Section III-B) bundles the encoded samples of each class into a
+/// class vector; inference (Section III-C) returns the class whose vector is
+/// most similar to the query.  The paper's efficiency argument leans on
+/// associative-memory hardware (Schmuck et al.): with binary class vectors,
+/// one inference is k Hamming distances, each a row of XOR + popcount — the
+/// operation FPGA/ASIC mappings execute in a single cycle per class.
 ///
-///  * PackedAssociativeMemory — an immutable packed snapshot of a trained
-///    dense AssociativeMemory (the deployment artifact);
-///  * PackedClassMemory — the *trainable* packed counterpart used by the
-///    kPackedBinary backend: per-slot PackedBundleAccumulators (same signed
-///    counters as the dense model) plus popcount-Hamming queries whose
-///    similarity values are bit-identical doubles to the dense quantized
-///    memory, so the packed pipeline's predictions match the dense model
-///    exactly (property-tested in tests/test_packed_assoc.cpp).
+/// PackedClassMemory is that store in software: per-slot signed-counter
+/// accumulators (PackedBundleAccumulator, the same raw state as the dense
+/// BundleAccumulator) fed with packed queries.  Quantized stores (the
+/// paper's model) score with popcount-Hamming against the majority-
+/// thresholded class vectors; non-quantized stores (the retraining
+/// extension's "counter" model) score with the exact counter cosine of
+/// counter_cosine().  Either way the similarity doubles are bit-identical to
+/// the dense reference arithmetic (hdc::similarity on the bipolar class
+/// vectors, BundleAccumulator::cosine on the counters) — property-tested
+/// against a dense oracle in tests/test_backend.cpp and
+/// tests/test_packed_assoc.cpp.
 
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
-#include "hdc/assoc_memory.hpp"
 #include "hdc/ops.hpp"
 #include "hdc/packed.hpp"
 
 namespace graphhd::hdc {
 
-/// Immutable packed snapshot of a quantized associative memory.
-class PackedAssociativeMemory {
- public:
-  /// Snapshots `memory`'s current quantized class vectors.  Subsequent
-  /// updates to `memory` do not propagate (rebuild the snapshot instead) —
-  /// deployment artifacts are frozen models.
-  explicit PackedAssociativeMemory(const AssociativeMemory& memory);
+/// Result of a single associative-memory query.
+struct QueryResult {
+  std::size_t best_class = 0;           ///< argmax class index.
+  double best_similarity = -2.0;        ///< δ(query, C_best).
+  std::vector<double> similarities;     ///< δ(query, C_i) for every class.
 
-  /// Copies rebuild the row-pointer table against their own class vectors
-  /// (moves keep the heap buffers, so the defaulted moves stay valid) —
-  /// query() is a pure read on any fully-constructed object, safe to share
-  /// across pool workers.
-  PackedAssociativeMemory(const PackedAssociativeMemory& other);
-  PackedAssociativeMemory& operator=(const PackedAssociativeMemory& other);
-  PackedAssociativeMemory(PackedAssociativeMemory&&) noexcept = default;
-  PackedAssociativeMemory& operator=(PackedAssociativeMemory&&) noexcept = default;
-
-  [[nodiscard]] std::size_t dimension() const noexcept { return dimension_; }
-  [[nodiscard]] std::size_t num_classes() const noexcept { return class_vectors_.size(); }
-
-  /// Classifies a packed query: similarities are 1 - 2 h / d (equal to the
-  /// bipolar cosine), argmax equals the bipolar memory's argmax.
-  [[nodiscard]] QueryResult query(const PackedHypervector& query) const;
-
-  /// Convenience overload packing a bipolar query.
-  [[nodiscard]] QueryResult query(const Hypervector& query) const;
-
-  /// The packed class vector of one class (diagnostics/tests).
-  [[nodiscard]] const PackedHypervector& class_vector(std::size_t label) const;
-
-  /// Serialized artifact size in bytes (the IoT footprint the paper argues
-  /// for): num_classes * ceil(d / 8).
-  [[nodiscard]] std::size_t footprint_bytes() const noexcept;
-
- private:
-  std::size_t dimension_;
-  std::vector<PackedHypervector> class_vectors_;
-  /// Row-pointer table into class_vectors_ for the batched distance kernel;
-  /// maintained by the constructors/assignments, never touched by queries.
-  std::vector<const std::uint64_t*> rows_;
+  /// Margin between best and runner-up similarity (0 if fewer than 2 classes).
+  [[nodiscard]] double margin() const noexcept;
 };
 
-/// Trainable packed associative memory over `num_classes` signed-counter
-/// class accumulators — the kPackedBinary counterpart of AssociativeMemory.
-///
-/// The class vectors are always majority-quantized (binary vectors *are*
-/// quantized by construction), matching AssociativeMemory with
-/// quantized == true: identical per-slot tie-break seeds, identical
-/// similarity doubles (cosine and dot reduce to (d - 2h)/d on bipolar data,
-/// inverse Hamming to 1 - h/d), hence identical argmax and scores.
+/// Exact cosine between a signed-counter row and the bipolar vector a packed
+/// query encodes (bit b set means component -1).  The dot product is
+/// Σc − 2·Σ_{b set} c — the same int64 value as Σ c_i·q_i — and the norm
+/// expression is BundleAccumulator::cosine's, so the double is bit-identical
+/// to BundleAccumulator::cosine(query.to_bipolar()).  `query_words` must hold
+/// ceil(counts.size() / 64) words with a zero tail; an all-zero row (or an
+/// empty one) scores 0.
+[[nodiscard]] double counter_cosine(std::span<const std::int32_t> counts,
+                                    std::span<const std::uint64_t> query_words);
+
+/// Trainable associative memory over `num_classes` signed-counter class
+/// accumulators, queried with packed hypervectors.
 class PackedClassMemory {
  public:
   /// \param dimension    hypervector dimensionality.
   /// \param num_classes  number of class slots k (>= 1).
-  /// \param metric       similarity δ used by queries.
+  /// \param metric       similarity δ used by quantized queries.
+  /// \param quantized    if true, queries compare against the majority-
+  ///                     thresholded class vectors with XOR + popcount (the
+  ///                     paper's model); if false, against the raw counters
+  ///                     with counter_cosine (the metric does not apply).
   PackedClassMemory(std::size_t dimension, std::size_t num_classes,
-                    Similarity metric = Similarity::kCosine);
+                    Similarity metric = Similarity::kCosine, bool quantized = true);
 
   /// Copies rebuild the cached row-pointer table against their own cached
   /// class vectors (defaulted moves keep the heap buffers valid), so a
@@ -96,6 +77,7 @@ class PackedClassMemory {
   [[nodiscard]] std::size_t dimension() const noexcept { return dimension_; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return accumulators_.size(); }
   [[nodiscard]] Similarity metric() const noexcept { return metric_; }
+  [[nodiscard]] bool quantized() const noexcept { return quantized_; }
 
   /// Adds an encoded training sample to class `label`.
   void add(std::size_t label, const PackedHypervector& encoded);
@@ -111,7 +93,7 @@ class PackedClassMemory {
   /// The quantized (packed) class vector C_i.
   [[nodiscard]] PackedHypervector class_vector(std::size_t label) const;
 
-  /// Classifies `query` with XOR + popcount; requires at least one class.
+  /// Classifies `query`; requires at least one class.
   [[nodiscard]] QueryResult query(const PackedHypervector& query) const;
 
   /// Rebuilds the cached packed class vectors; called automatically by
@@ -127,22 +109,20 @@ class PackedClassMemory {
   void restore(std::size_t label, PackedBundleAccumulator accumulator,
                std::size_t sample_count);
 
-  /// Folds another memory in, slot by slot — the packed counterpart of
-  /// AssociativeMemory::merge (same counter addition on the shared raw
-  /// state).  Layouts must agree (dimension, slot count, metric); throws
-  /// std::invalid_argument otherwise.
+  /// Folds another memory in, slot by slot: counter addition, sample counts
+  /// summed (see PackedBundleAccumulator::merge).  Exact — querying the
+  /// merged memory equals querying one trained on both memories' samples in
+  /// any interleaving.  Layouts must agree (dimension, slot count, metric,
+  /// quantization); throws std::invalid_argument otherwise.
   void merge(const PackedClassMemory& other);
 
   /// Inference-time artifact size in bytes: num_classes * ceil(d / 8).
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
  private:
-  /// Maps one Hamming distance to the metric's similarity double — the
-  /// post-processing step after the batched distance kernel.
-  [[nodiscard]] double score_from_distance(std::size_t hamming) const;
-
   std::size_t dimension_;
   Similarity metric_;
+  bool quantized_;
   std::vector<PackedBundleAccumulator> accumulators_;
   std::vector<std::size_t> counts_;
   mutable std::vector<PackedHypervector> cached_class_vectors_;

@@ -5,7 +5,8 @@
 /// coalesce); encoding a graph needs a GraphHdEncoder, whose lazily grown
 /// basis caches make it cheap to reuse but unsafe to share across threads.
 /// A Client therefore owns one encoder, built from the server's snapshot
-/// config — the standard arrangement is one Client per client thread.
+/// config, and submits encode_packed output (the representation the server
+/// queues) — the standard arrangement is one Client per client thread.
 /// Encoders are seed-deterministic, so every Client encodes a graph to the
 /// same bits the trainer would, and server responses stay bit-identical to
 /// SnapshotPredictor::predict / predict_batch on the same graphs.
@@ -46,7 +47,6 @@ class Client {
  private:
   Server& server_;
   core::GraphHdEncoder encoder_;
-  bool packed_backend_ = false;
 };
 
 }  // namespace graphhd::serve

@@ -108,21 +108,32 @@ TcpServerStats TcpServer::stats() const noexcept {
 
 void TcpServer::stop() {
   std::call_once(stop_once_, [this] {
-    stopping_.store(true, std::memory_order_release);
-    wake();
     // Every submitted request's callback deposits its response frame (or
-    // gives up on a dead connection) before decrementing — once the counter
-    // hits zero the IO thread only has flushing left to do.
-    {
+    // gives up on a dead connection) before decrementing the counter under
+    // outstanding_mutex_.  Holding that mutex with the counter at zero
+    // therefore means no callback will touch this object again.
+    const auto wait_outstanding = [this] {
       std::unique_lock<std::mutex> lock(outstanding_mutex_);
       outstanding_cv_.wait(lock, [this] {
         return outstanding_.load(std::memory_order_acquire) == 0;
       });
-    }
+    };
+    stopping_.store(true, std::memory_order_release);
+    wake();
+    // Once the counter hits zero the IO thread only has flushing left to do.
+    wait_outstanding();
     wake();
     if (io_thread_.joinable()) {
       io_thread_.join();
     }
+    // The IO thread may have submitted requests after the first wait saw
+    // zero; it exits only once they are answered, but their callbacks may
+    // still be releasing the mutex.  Waiting again orders every callback
+    // (and its wake()) before the self-pipe closes and before the
+    // destructor frees the mutex and condition variable.
+    wait_outstanding();
+    close_quietly(wake_read_fd_);
+    close_quietly(wake_write_fd_);
   });
 }
 
@@ -250,8 +261,6 @@ void TcpServer::io_loop() {
   }
   connections_.clear();
   close_quietly(listen_fd_);
-  close_quietly(wake_read_fd_);
-  close_quietly(wake_write_fd_);
 }
 
 void TcpServer::accept_ready() {
@@ -285,8 +294,16 @@ bool TcpServer::read_ready(const std::shared_ptr<Connection>& conn) {
     const ssize_t n = ::recv(conn->fd, buffer, sizeof buffer, 0);
     if (n > 0) {
       conn->inbox.insert(conn->inbox.end(), buffer, buffer + n);
-      // A reader that never frames correctly must not grow the inbox without
-      // bound: anything beyond one max frame + header is already poison.
+      // Parse complete frames as they arrive, so a client pipelining many
+      // valid frames in one burst never accumulates more than the unparsed
+      // remainder.  That remainder is at most one partial frame (drain_inbox
+      // rejects an oversized length prefix as soon as it is readable); the
+      // bound below keeps a peer that never frames correctly from growing
+      // the inbox past it.
+      drain_inbox(conn);
+      if (conn->draining) {
+        return true;
+      }
       if (conn->inbox.size() >
           std::size_t{config_.max_frame_bytes} + sizeof(std::uint32_t) + kClientHelloBytes) {
         send_error(conn, 0, ErrorCode::kMalformedFrame, "unframed input overflow");
@@ -306,10 +323,10 @@ bool TcpServer::read_ready(const std::shared_ptr<Connection>& conn) {
     }
     return false;
   }
-  return drain_inbox(conn);
+  return true;
 }
 
-bool TcpServer::drain_inbox(const std::shared_ptr<Connection>& conn) {
+void TcpServer::drain_inbox(const std::shared_ptr<Connection>& conn) {
   std::size_t consumed = 0;
   const auto available = [&] { return conn->inbox.size() - consumed; };
   while (!conn->draining) {
@@ -327,10 +344,7 @@ bool TcpServer::drain_inbox(const std::shared_ptr<Connection>& conn) {
       consumed += kClientHelloBytes;
       conn->handshaken = true;
       const auto snapshot = server_.snapshot();
-      const auto& config = snapshot->config();
-      const bool packed_mode = config.quantized_model ||
-                               config.backend == core::Backend::kPackedBinary;
-      enqueue_bytes(conn, encode_server_hello(config, snapshot->num_classes(), packed_mode));
+      enqueue_bytes(conn, encode_server_hello(snapshot->config(), snapshot->num_classes()));
       continue;
     }
     if (available() < sizeof(std::uint32_t)) {
@@ -359,7 +373,6 @@ bool TcpServer::drain_inbox(const std::shared_ptr<Connection>& conn) {
   }
   conn->inbox.erase(conn->inbox.begin(),
                     conn->inbox.begin() + static_cast<std::ptrdiff_t>(consumed));
-  return true;
 }
 
 void TcpServer::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -394,25 +407,28 @@ void TcpServer::submit_request(const std::shared_ptr<Connection>& conn,
       // serving loop keeps running.
     }
     conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
+    // Invariant: after the decrement below, nothing but the release of
+    // outstanding_mutex_ may touch the server.  Reaching zero lets stop()
+    // (which waits under that mutex) join the IO thread and close
+    // wake_write_fd_, whose number a later open() may reuse — so the wake
+    // goes first.
+    wake();
+    std::lock_guard<std::mutex> lock(outstanding_mutex_);
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(outstanding_mutex_);
       outstanding_cv_.notify_all();
     }
-    wake();
   };
 
   try {
-    // Server::submit converts either representation to its pinned scoring
-    // mode with the snapshot's own exact conversions (from_bipolar /
-    // to_bipolar), so both payload kinds stay bit-identical end to end.
-    if (request.representation == Representation::kPacked) {
-      server_.submit(
-          hdc::PackedHypervector::from_words(std::move(request.packed_words),
-                                             request.dimension),
-          complete);
-    } else {
-      server_.submit(hdc::Hypervector(std::move(request.dense)), complete);
-    }
+    // The server queues packed words only; a dense ±1 payload is packed
+    // here (from_bipolar is exact on ±1 data), so both payload kinds stay
+    // bit-identical end to end.
+    server_.submit(request.representation == Representation::kPacked
+                       ? hdc::PackedHypervector::from_words(std::move(request.packed_words),
+                                                            request.dimension)
+                       : hdc::PackedHypervector::from_bipolar(
+                             hdc::Hypervector(std::move(request.dense))),
+                   complete);
     stat_requests_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& error) {
     conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);

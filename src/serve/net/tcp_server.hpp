@@ -113,9 +113,9 @@ class TcpServer {
   void accept_ready();
   bool read_ready(const std::shared_ptr<Connection>& conn);
   bool write_ready(const std::shared_ptr<Connection>& conn);
-  /// Parses and dispatches whatever complete messages sit in conn->inbox.
-  /// Returns false when the connection must close (protocol poison).
-  bool drain_inbox(const std::shared_ptr<Connection>& conn);
+  /// Parses and dispatches whatever complete messages sit in conn->inbox;
+  /// protocol poison sends an error frame and marks the connection draining.
+  void drain_inbox(const std::shared_ptr<Connection>& conn);
   /// Decodes one request body and submits it to the serve::Server.
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     std::span<const std::uint8_t> body);

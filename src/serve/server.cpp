@@ -16,13 +16,6 @@ const core::InferenceSnapshot& require_snapshot(
   return *snapshot;
 }
 
-/// Counter-scoring servers carry dense payloads; everything else (both
-/// backends with quantized_model, which kPackedBinary implies) scores packed
-/// words — mirroring InferenceSnapshot's own query routing.
-bool scores_packed(const core::GraphHdConfig& config) noexcept {
-  return config.quantized_model || config.backend == core::Backend::kPackedBinary;
-}
-
 /// Decrements the submitter count on scope exit (exception-safe gate release).
 class GateRelease {
  public:
@@ -39,8 +32,7 @@ class GateRelease {
 
 Server::Server(std::shared_ptr<const core::InferenceSnapshot> snapshot, ServerConfig config)
     : config_(config),
-      packed_mode_(scores_packed(require_snapshot(snapshot).config())),
-      dimension_(snapshot->dimension()),
+      dimension_(require_snapshot(snapshot).dimension()),
       snapshot_(std::move(snapshot)),
       queue_(config.queue_capacity) {
   if (config_.worker_threads == 0) {
@@ -73,12 +65,7 @@ void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
   if (!core::encoder_compatible(current->config(), next->config())) {
     throw std::invalid_argument(
         "Server::swap: replacement snapshot is encoder-incompatible "
-        "(dimension/seed/identifier/pagerank/labels/rounds/bitslice/backend must match)");
-  }
-  if (current->config().quantized_model != next->config().quantized_model) {
-    throw std::invalid_argument(
-        "Server::swap: quantized_model is pinned for the server's lifetime "
-        "(it selects the queued query representation)");
+        "(dimension/seed/identifier/pagerank/labels/rounds/bitslice must match)");
   }
   // Two racing compatible swaps are both compatible with each other (the
   // contract is field equality, hence transitive), so check-then-store needs
@@ -92,23 +79,12 @@ void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
   stat_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Server::Request> Server::make_request(hdc::PackedHypervector&& packed,
-                                                      hdc::Hypervector&& dense) {
-  const std::size_t dimension = packed.empty() ? dense.dimension() : packed.dimension();
-  if (dimension != dimension_) {
+std::unique_ptr<Server::Request> Server::make_request(hdc::PackedHypervector&& query) {
+  if (query.dimension() != dimension_) {
     throw std::invalid_argument("Server::submit: query dimension mismatch");
   }
   auto request = std::make_unique<Request>();
-  if (packed_mode_) {
-    // Quantized scoring: the snapshot packs dense queries itself
-    // (from_bipolar), so converting here preserves bit-identity.
-    request->packed = packed.empty() ? hdc::PackedHypervector::from_bipolar(dense)
-                                     : std::move(packed);
-  } else {
-    // Counter scoring: the snapshot unpacks packed queries (to_bipolar —
-    // exact on ±1 data); same conversion, same bits.
-    request->dense = packed.empty() ? std::move(dense) : packed.to_bipolar();
-  }
+  request->query = std::move(query);
   return request;
 }
 
@@ -132,33 +108,26 @@ void Server::enqueue(std::unique_ptr<Request> request) {
 }
 
 std::future<core::Prediction> Server::submit(hdc::PackedHypervector encoded) {
-  auto request = make_request(std::move(encoded), {});
+  auto request = make_request(std::move(encoded));
   request->use_promise = true;
   auto future = request->promise.get_future();
   enqueue(std::move(request));
   return future;
 }
 
-std::future<core::Prediction> Server::submit(hdc::Hypervector encoded) {
-  auto request = make_request({}, std::move(encoded));
-  request->use_promise = true;
-  auto future = request->promise.get_future();
-  enqueue(std::move(request));
-  return future;
+std::future<core::Prediction> Server::submit(const hdc::Hypervector& encoded) {
+  return submit(hdc::PackedHypervector::from_bipolar(encoded));
 }
 
 void Server::submit(hdc::PackedHypervector encoded, Callback callback) {
   if (!callback) throw std::invalid_argument("Server::submit: empty callback");
-  auto request = make_request(std::move(encoded), {});
+  auto request = make_request(std::move(encoded));
   request->callback = std::move(callback);
   enqueue(std::move(request));
 }
 
-void Server::submit(hdc::Hypervector encoded, Callback callback) {
-  if (!callback) throw std::invalid_argument("Server::submit: empty callback");
-  auto request = make_request({}, std::move(encoded));
-  request->callback = std::move(callback);
-  enqueue(std::move(request));
+void Server::submit(const hdc::Hypervector& encoded, Callback callback) {
+  submit(hdc::PackedHypervector::from_bipolar(encoded), std::move(callback));
 }
 
 void Server::shutdown() {
@@ -250,17 +219,11 @@ void Server::process_batch(WorkerScratch& scratch) {
   const std::shared_ptr<const core::InferenceSnapshot> snap = snapshot();
   const std::size_t n = scratch.batch.size();
   scratch.predictions.resize(n);
-  if (packed_mode_) {
-    scratch.query_rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.query_rows[i] = scratch.batch[i]->packed.words().data();
-    }
-    snap->predict_encoded_batch(scratch.query_rows.data(), n, scratch.predictions.data());
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.predictions[i] = snap->predict_encoded(scratch.batch[i]->dense);
-    }
+  scratch.query_rows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.query_rows[i] = scratch.batch[i]->query.words().data();
   }
+  snap->predict_encoded_batch(scratch.query_rows.data(), n, scratch.predictions.data());
   // Count the batch BEFORE publishing completions: a caller who saw its
   // future resolve is guaranteed to see itself in stats().
   stat_requests_.fetch_add(n, std::memory_order_relaxed);

@@ -1,11 +1,13 @@
-/// Tests of the kPackedBinary backend: the packed pipeline must be a
-/// *faithful* fast path — bit-identical predictions (labels and similarity
-/// doubles) to the dense quantized model, on synthetic and TUDataset-format
-/// fixtures, at any thread count, through every extension that composes
-/// with it, and across serialization.  The equivalence matrix is
-/// property-based (tests/support/proptest.hpp): the leading cases pin the
-/// historical config sweep deterministically, the tail randomizes config
-/// combinations and datasets, and failures replay/shrink by seed.
+/// Tests of the one runtime representation: every model — whatever its
+/// persisted `backend` field — encodes packed and scores against one
+/// signed-counter class store, and must be a *faithful* fast path:
+/// bit-identical predictions (labels and similarity doubles) to the dense
+/// oracle (tests/support/dense_oracle.hpp), for quantized and counter
+/// models, on synthetic and TUDataset-format fixtures, at any thread count
+/// and through every extension.  The equivalence matrix is property-based
+/// (tests/support/proptest.hpp): the leading cases pin a config sweep
+/// deterministically, the tail randomizes config combinations and datasets,
+/// and failures replay/shrink by seed.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "data/tudataset.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/dense_oracle.hpp"
 #include "support/proptest.hpp"
 
 namespace {
@@ -65,8 +68,8 @@ GraphDataset tudataset_fixture() {
   return loaded;
 }
 
-/// One cell of the dense-vs-packed equivalence matrix: every knob that
-/// composes with the backend choice, plus the dataset shape.  Datasets
+/// One cell of the oracle equivalence matrix: every model knob plus the
+/// dataset shape.  Datasets
 /// regenerate from (tudataset, num_vertices, num_graphs), so a case is fully
 /// described — and replayable / shrinkable — by these scalars.
 struct BackendCase {
@@ -77,6 +80,7 @@ struct BackendCase {
   bool use_vertex_labels = false;
   bool bitslice = true;
   bool inverse_hamming = false;
+  bool quantized = true;   ///< false = the counter model (dense backend only).
   bool tudataset = false;  ///< MUTAG-replica fixture (carries vertex labels).
   std::size_t num_vertices = 40;
   std::size_t num_graphs = 30;
@@ -86,7 +90,7 @@ std::ostream& operator<<(std::ostream& out, const BackendCase& c) {
   return out << "d=" << c.dimension << " retrain=" << c.retrain_epochs
              << " prototypes=" << c.prototypes << " rounds=" << c.rounds
              << " vertex_labels=" << c.use_vertex_labels << " bitslice=" << c.bitslice
-             << " inverse_hamming=" << c.inverse_hamming
+             << " inverse_hamming=" << c.inverse_hamming << " quantized=" << c.quantized
              << " dataset=" << (c.tudataset ? "tudataset" : "synthetic")
              << "(v=" << c.num_vertices << ", g=" << c.num_graphs << ")";
 }
@@ -119,6 +123,11 @@ std::ostream& operator<<(std::ostream& out, const BackendCase& c) {
       c.dimension = 512;
       c.num_vertices = 20;
       break;
+    case 7:  // the counter model, retrained (the extension it exists for).
+      c.quantized = false;
+      c.retrain_epochs = 3;
+      c.prototypes = 2;
+      break;
     default:
       c.bitslice = false;
       c.num_vertices = 20;
@@ -126,7 +135,7 @@ std::ostream& operator<<(std::ostream& out, const BackendCase& c) {
   }
   return c;
 }
-constexpr std::size_t kPinnedBackendCases = 8;
+constexpr std::size_t kPinnedBackendCases = 9;
 
 [[nodiscard]] GraphDataset case_dataset(const BackendCase& c) {
   // The tudataset fixture is a fixed-shape disk-format roundtrip; the
@@ -142,52 +151,57 @@ constexpr std::size_t kPinnedBackendCases = 8;
   config.neighborhood_rounds = c.rounds;
   config.use_vertex_labels = c.use_vertex_labels;
   config.use_bitslice_bundling = c.bitslice;
+  config.quantized_model = c.quantized;
   if (c.inverse_hamming) config.metric = graphhd::hdc::Similarity::kInverseHamming;
   return config;
 }
 
-/// The equivalence contract: dense and packed models trained identically
-/// produce bit-identical predictions (labels AND similarity doubles) at 1,
-/// 2 and 8 threads.
+/// First sample whose predictions differ bit-wise, or size() when none.
+[[nodiscard]] std::size_t first_divergence(const std::vector<Prediction>& actual,
+                                           const std::vector<Prediction>& expected) {
+  if (actual.size() != expected.size()) return 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (!graphhd::oracle::identical(actual[i], expected[i])) return i;
+  }
+  return expected.size();
+}
+
+/// The equivalence contract: a model trained on either backend value
+/// predicts bit-identically (labels AND similarity doubles) to the dense
+/// oracle trained on the same samples, at 1, 2 and 8 threads.  Counter
+/// models exist on the dense backend only (config validation).
 [[nodiscard]] bool backends_agree(const BackendCase& c, std::ostream& diag) {
   diag << c;
   ThreadGuard guard;
   const auto dataset = case_dataset(c);
-  GraphHdConfig config = case_config(c);
-  config.backend = Backend::kDenseBipolar;
-  GraphHdModel dense(config, dataset.num_classes());
-  config.backend = Backend::kPackedBinary;
-  GraphHdModel packed(config, dataset.num_classes());
+  const GraphHdConfig config = case_config(c);
+  graphhd::oracle::DenseModel oracle(config, dataset.num_classes());
+  oracle.fit(dataset);
+  const auto reference = oracle.predict_batch(dataset);
 
-  parallel::set_threads(1);
-  dense.fit(dataset);
-  packed.fit(dataset);
-  const auto reference = dense.predict_batch(dataset);
-
-  bool ok = true;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    parallel::set_threads(threads);
-    const auto predictions = packed.predict_batch(dataset);
-    if (predictions.size() != reference.size()) {
-      diag << " [size mismatch at " << threads << " threads]";
-      return false;
-    }
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      if (predictions[i].label != reference[i].label ||
-          predictions[i].score != reference[i].score ||
-          predictions[i].class_scores != reference[i].class_scores) {
-        diag << " [sample " << i << " diverges at " << threads << " threads]";
-        ok = false;
-        break;
+  for (const Backend backend : {Backend::kDenseBipolar, Backend::kPackedBinary}) {
+    if (!c.quantized && backend == Backend::kPackedBinary) continue;
+    GraphHdConfig backend_config = config;
+    backend_config.backend = backend;
+    GraphHdModel model(backend_config, dataset.num_classes());
+    parallel::set_threads(backend == Backend::kDenseBipolar ? 1 : 8);
+    model.fit(dataset);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      parallel::set_threads(threads);
+      const std::size_t diverged = first_divergence(model.predict_batch(dataset), reference);
+      if (diverged != reference.size()) {
+        diag << " [" << to_string(backend) << " sample " << diverged << " diverges at "
+             << threads << " threads]";
+        return false;
       }
     }
   }
-  return ok;
+  return true;
 }
 
 TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
   proptest::check<BackendCase>(
-      "packed backend bit-identical to dense across configs/threads",
+      "every backend bit-identical to the dense oracle across configs/threads",
       [](Rng& rng, std::size_t case_index) {
         if (case_index < kPinnedBackendCases) return pinned_backend_case(case_index);
         BackendCase c;
@@ -198,6 +212,7 @@ TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
         c.use_vertex_labels = c.tudataset && rng.next_bool();
         c.bitslice = rng.next_bool();
         c.inverse_hamming = rng.next_bool();
+        c.quantized = rng.next_bool(0.7);
         c.num_vertices = 16 + rng.next_below(24);
         c.num_graphs = 12 + rng.next_below(18);
         if (rng.next_bool(0.25)) {
@@ -220,6 +235,7 @@ TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
         if (failing.use_vertex_labels) with([](BackendCase& c) { c.use_vertex_labels = false; });
         if (!failing.bitslice) with([](BackendCase& c) { c.bitslice = true; });
         if (failing.inverse_hamming) with([](BackendCase& c) { c.inverse_hamming = false; });
+        if (!failing.quantized) with([](BackendCase& c) { c.quantized = true; });
         if (failing.tudataset) with([](BackendCase& c) { c.tudataset = false; });
         if (failing.dimension > 64) with([](BackendCase& c) { c.dimension /= 2; });
         if (failing.num_graphs > 4) with([](BackendCase& c) { c.num_graphs /= 2; });
@@ -262,7 +278,7 @@ std::ostream& operator<<(std::ostream& out, const PartialFitCase& c) {
 
 TEST(PackedBackend, PropertyPartialFitMatchesDense) {
   proptest::check<PartialFitCase>(
-      "online partial_fit keeps packed bit-identical to dense",
+      "online partial_fit keeps every backend bit-identical to the dense oracle",
       [](Rng& rng, std::size_t) {
         PartialFitCase c;
         const std::size_t steps = 2 + rng.next_below(15);
@@ -287,18 +303,20 @@ TEST(PackedBackend, PropertyPartialFitMatchesDense) {
         diag << c;
         GraphHdConfig config = base_config();
         config.dimension = 1024;
+        graphhd::oracle::DenseModel oracle(config, 2);
         GraphHdModel dense(config, 2);
         config.backend = Backend::kPackedBinary;
         GraphHdModel packed(config, 2);
         for (const auto& step : c.steps) {
           const auto graph = step.star ? star_graph(step.n) : cycle_graph(step.n);
+          oracle.partial_fit(graph, step.label);
           dense.partial_fit(graph, step.label);
           packed.partial_fit(graph, step.label);
         }
         for (std::size_t n = 5; n < 16; ++n) {
-          const auto d = dense.predict(cycle_graph(n));
-          const auto p = packed.predict(cycle_graph(n));
-          if (d.label != p.label || d.score != p.score) {
+          const auto expected = oracle.predict(cycle_graph(n));
+          if (!graphhd::oracle::identical(dense.predict(cycle_graph(n)), expected) ||
+              !graphhd::oracle::identical(packed.predict(cycle_graph(n)), expected)) {
             diag << " [probe cycle(" << n << ") diverges]";
             return false;
           }
@@ -331,14 +349,21 @@ TEST(PackedBackend, RejectsNonQuantizedModel) {
 }
 
 TEST(PackedBackend, MemoryAccessorsMatchBackend) {
+  // One class store behind every backend value; its scoring mode follows
+  // quantized_model.
   GraphHdConfig config = base_config();
-  GraphHdModel dense(config, 2);
-  EXPECT_NO_THROW((void)dense.memory());
-  EXPECT_THROW((void)dense.packed_memory(), std::logic_error);
+  config.vectors_per_class = 2;
+  GraphHdModel dense(config, 3);
+  EXPECT_EQ(dense.memory().num_classes(), 6u);
+  EXPECT_TRUE(dense.memory().quantized());
+  config.quantized_model = false;
+  GraphHdModel counters(config, 3);
+  EXPECT_FALSE(counters.memory().quantized());
+  config.quantized_model = true;
   config.backend = Backend::kPackedBinary;
-  GraphHdModel packed(config, 2);
-  EXPECT_NO_THROW((void)packed.packed_memory());
-  EXPECT_THROW((void)packed.memory(), std::logic_error);
+  GraphHdModel packed(config, 3);
+  EXPECT_EQ(packed.memory().num_classes(), 6u);
+  EXPECT_EQ(packed.memory().dimension(), config.dimension);
 }
 
 TEST(PackedBackend, GraphHdFacadeRunsPacked) {

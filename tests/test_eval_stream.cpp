@@ -95,7 +95,7 @@ void expect_identical_results(const CvResult& materialized, const CvResult& stre
 
 [[nodiscard]] CvResult run_streamed(const GraphDataset& dataset, core::Backend backend,
                                     CvConfig cv, std::size_t chunk) {
-  cv.stream_chunk = chunk;
+  cv.stream.chunk = chunk;
   DatasetStream stream(dataset);
   return cross_validate_stream("GraphHD",
                                eval::make_graphhd_stream_factory(fast_config(backend),
@@ -348,7 +348,7 @@ TEST(CrossValidateStream, ExtensionsComposeBitIdentically) {
   const auto materialized = cross_validate(
       "GraphHD", eval::make_graphhd_factory(config, false), dataset, cv);
   DatasetStream stream(dataset);
-  cv.stream_chunk = 5;
+  cv.stream.chunk = 5;
   const auto streamed = cross_validate_stream(
       "GraphHD", eval::make_graphhd_stream_factory(config, false), stream, dataset.name(), cv);
   expect_identical_results(materialized, streamed, "retrain+prototypes");
@@ -374,7 +374,7 @@ TEST(CrossValidateStream, WorksOnGeneratorStreamsWithoutMaterializing) {
   };
   data::GeneratorStream stream(18, 2, /*seed=*/0xfeedULL, factory);
   auto cv = cv_config(3, 1);
-  cv.stream_chunk = 4;
+  cv.stream.chunk = 4;
   const auto config = fast_config(core::Backend::kPackedBinary);
   const auto streamed = cross_validate_stream(
       "GraphHD", eval::make_graphhd_stream_factory(config, false), stream, "er-gen", cv);
@@ -476,7 +476,7 @@ TEST(CrossValidateStream, PropertyStreamedEqualsMaterialized) {
         cv.repetitions = 1;
         cv.stratified = c.stratified;
         cv.record_predictions = true;
-        cv.stream_chunk = c.chunk;
+        cv.stream.chunk = c.chunk;
         core::GraphHdConfig config;
         config.dimension = 256;
         config.backend = c.backend;
@@ -599,19 +599,6 @@ TEST(CrossValidateStream, RejectsParallelFoldsAndZeroChunk) {
                std::invalid_argument);
 }
 
-TEST(CrossValidateStream, DeprecatedStreamChunkOverridesStreamOptions) {
-  // Compat contract of the pre-PR-8 positional knob: a nonzero stream_chunk
-  // overrides stream.chunk; 0 (the new default) defers to stream.
-  eval::CvConfig cv;
-  cv.stream.chunk = 16;
-  EXPECT_EQ(cv.stream_options().chunk, 16u);
-  cv.stream_chunk = 7;
-  EXPECT_EQ(cv.stream_options().chunk, 7u);
-  EXPECT_TRUE(cv.stream_options().prefetch);
-  cv.stream.prefetch = false;
-  EXPECT_FALSE(cv.stream_options().prefetch);
-}
-
 TEST(CrossValidate, RejectsMoreFoldsThanGraphsWithClearError) {
   // Regression: folds > num_graphs used to surface as a generic
   // stratified_kfold error from deep inside the job loop; both protocols
@@ -659,8 +646,8 @@ TEST(ScoreStream, MatchesMaterializedScore) {
   core::GraphHd streamed(fast_config(core::Backend::kPackedBinary));
   materialized.fit(dataset);
   DatasetStream stream(dataset);
-  streamed.fit_stream(stream, 5);
-  EXPECT_EQ(materialized.score(dataset), streamed.score_stream(stream, 5));
+  streamed.fit_stream(stream, {.chunk = 5});
+  EXPECT_EQ(materialized.score(dataset), streamed.score_stream(stream, {.chunk = 5}));
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -45,13 +46,16 @@ namespace proptest = graphhd::proptest;
 constexpr std::size_t kDim = 256;
 constexpr std::size_t kClasses = 4;
 
-/// A packed model without a training pass (stress_serve's idiom): seeded
-/// random odd counters so the majority threshold is tie-free.
-graphhd::core::GraphHdModel make_model() {
+/// A model without a training pass (stress_serve's idiom): seeded random odd
+/// counters so the majority threshold is tie-free.  `quantized` = false
+/// builds a counter model (dense backend, raw-counter scoring).
+graphhd::core::GraphHdModel make_model(bool quantized = true) {
   GraphHdConfig config;
   config.dimension = kDim;
   config.seed = 0x7e57ULL;
-  config.backend = graphhd::core::Backend::kPackedBinary;
+  config.backend = quantized ? graphhd::core::Backend::kPackedBinary
+                             : graphhd::core::Backend::kDenseBipolar;
+  config.quantized_model = quantized;
   graphhd::core::GraphHdModel model(config, kClasses);
 
   hdc::Rng rng(0x6e7);
@@ -244,7 +248,7 @@ TEST(Wire, ClientHelloValidates) {
 
 TEST(Wire, ServerHelloRoundTripsConfig) {
   const GraphHdConfig config = sample_config();
-  const auto hello = encode_server_hello(config, 12, /*packed_mode=*/true);
+  const auto hello = encode_server_hello(config, 12);
   ASSERT_GT(hello.size(), kServerHelloFixedBytes);
   const auto fixed = std::span(hello).first(kServerHelloFixedBytes);
   const std::uint64_t config_len = check_server_hello_fixed(fixed);
@@ -398,6 +402,111 @@ TEST_F(NetEndToEnd, OversizedLengthPrefixClosesConnectionNotServer) {
   // The server is unharmed: a well-behaved client still gets exact answers.
   TcpClient client("127.0.0.1", tcp_->port());
   expect_bit_identical(client.predict(queries_[0]), expected_[0], "after oversized");
+}
+
+/// Reads exactly `n` bytes, or fewer when the peer closes or stays silent
+/// for `timeout_ms`.
+std::vector<std::uint8_t> read_exact(int fd, std::size_t n, int timeout_ms = 5000) {
+  std::vector<std::uint8_t> out(n);
+  std::size_t got = 0;
+  while (got < n) {
+    pollfd pfd{.fd = fd, .events = POLLIN, .revents = 0};
+    if (::poll(&pfd, 1, timeout_ms) <= 0) break;
+    const ssize_t r = ::recv(fd, out.data() + got, n - got, 0);
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  out.resize(got);
+  return out;
+}
+
+/// Reads one length-prefixed frame and decodes it; throws on EOF/timeout.
+Frame read_frame(int fd) {
+  const auto prefix = read_exact(fd, sizeof(std::uint32_t));
+  if (prefix.size() != sizeof(std::uint32_t)) throw std::runtime_error("connection closed");
+  std::uint32_t length = 0;
+  std::memcpy(&length, prefix.data(), sizeof length);
+  const auto body = read_exact(fd, length);
+  if (body.size() != length) throw std::runtime_error("truncated frame");
+  return decode_frame(body);
+}
+
+TEST(NetPipelining, BurstOfValidFramesBeyondTheFrameCapIsServed) {
+  // Regression: the unframed-input guard used to run before any parsing, so
+  // a client pipelining more than max_frame_bytes of *valid* frames in one
+  // burst was closed as malformed.  Only the unparsed remainder is bounded.
+  auto model = make_model();
+  const auto snapshot = model.snapshot();
+  Server server(snapshot);
+  hdc::Rng rng(0xb0257);
+  std::vector<hdc::PackedHypervector> queries;
+  for (std::size_t q = 0; q < 48; ++q) {
+    queries.push_back(hdc::PackedHypervector::random(kDim, rng));
+  }
+  const auto expected = snapshot->predict_encoded_batch(queries);
+
+  std::vector<std::uint8_t> burst = encode_client_hello();
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const auto frame = encode_request_frame(q + 1, queries[q]);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  // The cap admits exactly one request frame; the burst is many times that.
+  const auto frame_body_bytes =
+      static_cast<std::uint32_t>(encode_request_frame(1, queries[0]).size() - 4);
+  TcpServer tcp(server, TcpServerConfig{.max_frame_bytes = frame_body_bytes});
+  ASSERT_GT(burst.size(), 4u * frame_body_bytes);
+
+  RawConn raw(tcp.port());
+  ASSERT_GE(raw.fd, 0);
+  ASSERT_EQ(::send(raw.fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  const auto fixed = read_exact(raw.fd, kServerHelloFixedBytes);
+  ASSERT_EQ(fixed.size(), kServerHelloFixedBytes);
+  const std::uint64_t config_len = check_server_hello_fixed(fixed);
+  ASSERT_EQ(read_exact(raw.fd, config_len).size(), config_len);
+
+  std::vector<bool> seen(queries.size(), false);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const Frame frame = read_frame(raw.fd);
+    ASSERT_EQ(frame.type, FrameType::kResponse)
+        << "response " << i << ": " << frame.error.message;
+    const std::uint64_t id = frame.response.request_id;
+    ASSERT_TRUE(id >= 1 && id <= queries.size() && !seen[id - 1]) << "request id " << id;
+    seen[id - 1] = true;
+    expect_bit_identical(frame.response.prediction, expected[id - 1], "pipelined burst");
+  }
+  // The connection is still open and serving.
+  raw.send(encode_request_frame(99, queries[0]));
+  const Frame after = read_frame(raw.fd);
+  ASSERT_EQ(after.type, FrameType::kResponse);
+  EXPECT_EQ(after.response.request_id, 99u);
+  expect_bit_identical(after.response.prediction, expected[0], "after burst");
+  EXPECT_EQ(tcp.stats().protocol_errors, 0u);
+}
+
+TEST(NetCounterModel, RemoteAnswersMatchTrainerSnapshotAndServer) {
+  // trainer == snapshot == Server == TcpServer for a non-quantized model:
+  // the handshake asks for packed words like every model's, and dense
+  // payloads are packed on decode.
+  auto model = make_model(/*quantized=*/false);
+  const auto snapshot = model.snapshot();
+  Server server(snapshot);
+  TcpServer tcp(server);
+  TcpClient client("127.0.0.1", tcp.port());
+  EXPECT_TRUE(client.packed_mode());
+  EXPECT_FALSE(client.config().quantized_model);
+
+  hdc::Rng rng(0xc0de);
+  std::vector<hdc::PackedHypervector> queries;
+  for (std::size_t q = 0; q < 12; ++q) queries.push_back(hdc::PackedHypervector::random(kDim, rng));
+  const auto expected = snapshot->predict_encoded_batch(queries);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    expect_bit_identical(model.predict_encoded(queries[q]), expected[q], "trainer");
+    expect_bit_identical(server.submit(queries[q]).get(), expected[q], "server");
+    expect_bit_identical(client.predict(queries[q]), expected[q], "remote packed");
+    expect_bit_identical(client.predict(queries[q].to_bipolar()), expected[q], "remote dense");
+  }
 }
 
 TEST_F(NetEndToEnd, GarbageHandshakeGetsErrorFrameAndClose) {

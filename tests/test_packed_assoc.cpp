@@ -1,3 +1,10 @@
+/// Tests of hdc::PackedClassMemory against the dense oracle
+/// (tests/support/dense_oracle.hpp): trained side by side on the same
+/// samples, the packed store must produce bit-identical similarity doubles
+/// (not just the same argmax) under every metric, in both scoring modes.
+/// The PackedAssociativeMemory suite covers the store in its deployment
+/// role — a frozen packed associative memory queried with XOR + popcount.
+
 #include "hdc/packed_assoc.hpp"
 
 #include <gtest/gtest.h>
@@ -6,126 +13,109 @@
 #include <utility>
 #include <vector>
 
+#include "support/dense_oracle.hpp"
+
 namespace {
 
 using namespace graphhd::hdc;
+using graphhd::oracle::DenseClassMemory;
 
-AssociativeMemory trained_memory(std::size_t dimension, std::size_t classes,
-                                 std::uint64_t seed,
-                                 std::vector<Hypervector>* prototypes_out = nullptr) {
+/// Trains a dense oracle memory and a packed memory on the same stream:
+/// `per_class` noisy variants of one random prototype per class.
+std::pair<DenseClassMemory, PackedClassMemory> twin_memories(
+    std::size_t dimension, std::size_t classes, std::uint64_t seed,
+    Similarity metric = Similarity::kCosine, bool quantized = true, int per_class = 4,
+    std::vector<Hypervector>* prototypes_out = nullptr) {
   Rng rng(seed);
-  AssociativeMemory memory(dimension, classes);
+  DenseClassMemory dense(dimension, classes, metric, quantized);
+  PackedClassMemory packed(dimension, classes, metric, quantized);
   std::vector<Hypervector> prototypes;
   for (std::size_t c = 0; c < classes; ++c) {
     prototypes.push_back(Hypervector::random(dimension, rng));
-    for (int s = 0; s < 3; ++s) {
-      memory.add(c, prototypes.back().with_noise(dimension / 10, rng));
+    for (int s = 0; s < per_class; ++s) {  // even count: exercises the tie stream.
+      const auto hv = prototypes.back().with_noise(dimension / 4, rng);
+      dense.add(c, hv);
+      packed.add(c, PackedHypervector::from_bipolar(hv));
     }
   }
   if (prototypes_out != nullptr) *prototypes_out = std::move(prototypes);
-  return memory;
+  return {std::move(dense), std::move(packed)};
+}
+
+/// Exact double equality of every score — the packed scorer reproduces the
+/// dense arithmetic, it does not approximate it.
+void expect_same_result(const QueryResult& packed, const QueryResult& dense) {
+  EXPECT_EQ(packed.best_class, dense.best_class);
+  EXPECT_EQ(packed.best_similarity, dense.best_similarity);
+  EXPECT_EQ(packed.similarities, dense.similarities);
 }
 
 TEST(PackedAssociativeMemory, AgreesWithBipolarMemoryOnArgmax) {
   std::vector<Hypervector> prototypes;
-  const auto memory = trained_memory(4096, 4, 3, &prototypes);
-  const PackedAssociativeMemory packed(memory);
+  const auto [dense, packed] =
+      twin_memories(4096, 4, 3, Similarity::kCosine, true, 3, &prototypes);
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto query = prototypes[trial % 4].with_noise(800, rng);
-    EXPECT_EQ(packed.query(query).best_class, memory.query(query).best_class)
+    EXPECT_EQ(packed.query(PackedHypervector::from_bipolar(query)).best_class,
+              dense.query(query).best_class)
         << "trial " << trial;
   }
 }
 
 TEST(PackedAssociativeMemory, SimilaritiesEqualBipolarCosine) {
-  const auto memory = trained_memory(2048, 3, 5);
-  const PackedAssociativeMemory packed(memory);
+  const auto [dense, packed] = twin_memories(2048, 3, 5);
   Rng rng(11);
   const auto query = Hypervector::random(2048, rng);
-  const auto bipolar_result = memory.query(query);
-  const auto packed_result = packed.query(query);
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(packed_result.similarities[c], bipolar_result.similarities[c], 1e-12);
-  }
+  expect_same_result(packed.query(PackedHypervector::from_bipolar(query)), dense.query(query));
 }
 
 TEST(PackedAssociativeMemory, QueryValidatesDimension) {
-  const auto memory = trained_memory(256, 2, 13);
-  const PackedAssociativeMemory packed(memory);
+  const auto [dense, packed] = twin_memories(256, 2, 13);
   Rng rng(17);
   EXPECT_THROW((void)packed.query(PackedHypervector::random(128, rng)),
                std::invalid_argument);
 }
 
 TEST(PackedAssociativeMemory, ClassVectorsMatchSource) {
-  const auto memory = trained_memory(512, 2, 19);
-  const PackedAssociativeMemory packed(memory);
+  const auto [dense, packed] = twin_memories(512, 2, 19);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(packed.class_vector(c).to_bipolar(), memory.class_vector(c));
+    EXPECT_EQ(packed.class_vector(c).to_bipolar(), dense.class_vector(c));
   }
   EXPECT_THROW((void)packed.class_vector(2), std::out_of_range);
 }
 
 TEST(PackedAssociativeMemory, SnapshotIsFrozen) {
-  auto memory = trained_memory(1024, 2, 23);
-  const PackedAssociativeMemory packed(memory);
-  const auto before = packed.class_vector(0);
-  // Mutate the source; the snapshot must not change.
+  auto [dense, memory] = twin_memories(1024, 2, 23);
+  const PackedClassMemory deployed = memory;  // the shipped copy.
+  const auto before = deployed.class_vector(0);
+  // Keep training the source; the deployed copy must not change.
   Rng rng(29);
-  for (int i = 0; i < 8; ++i) memory.add(0, Hypervector::random(1024, rng));
-  EXPECT_EQ(packed.class_vector(0), before);
+  for (int i = 0; i < 8; ++i) memory.add(0, PackedHypervector::random(1024, rng));
+  EXPECT_EQ(deployed.class_vector(0), before);
+  EXPECT_NE(memory.class_vector(0), before);
 }
 
 TEST(PackedAssociativeMemory, FootprintIsBitsNotBytes) {
-  const auto memory = trained_memory(10000, 6, 31);
-  const PackedAssociativeMemory packed(memory);
+  const auto [dense, packed] = twin_memories(10000, 6, 31);
   // 6 classes x ceil(10000/8) = 7500 bytes — the deployable-model size the
   // paper's IoT argument relies on.
   EXPECT_EQ(packed.footprint_bytes(), 6u * 1250u);
 }
 
-// ---------------------------------------------------------------------------
-// PackedClassMemory: the *trainable* packed memory behind the kPackedBinary
-// backend.  Its contract is stronger than the snapshot's: trained side by
-// side with a dense quantized AssociativeMemory it must produce bit-identical
-// similarity doubles (not just the same argmax) under every metric.
-// ---------------------------------------------------------------------------
-
-/// Trains a dense quantized memory and a packed memory on the same stream.
-std::pair<AssociativeMemory, PackedClassMemory> twin_memories(std::size_t dimension,
-                                                              std::size_t classes,
-                                                              std::uint64_t seed,
-                                                              Similarity metric) {
-  Rng rng(seed);
-  AssociativeMemory dense(dimension, classes, metric, /*quantized=*/true);
-  PackedClassMemory packed(dimension, classes, metric);
-  for (std::size_t c = 0; c < classes; ++c) {
-    for (int s = 0; s < 4; ++s) {  // even count: exercises the tie stream.
-      const auto hv = Hypervector::random(dimension, rng);
-      dense.add(c, hv);
-      packed.add(c, PackedHypervector::from_bipolar(hv));
-    }
-  }
-  return {std::move(dense), std::move(packed)};
-}
-
 class PackedClassMemoryMetric : public ::testing::TestWithParam<Similarity> {};
 
 TEST_P(PackedClassMemoryMetric, SimilaritiesBitIdenticalToDense) {
-  auto [dense, packed] = twin_memories(1030, 3, 83, GetParam());
-  Rng rng(89);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto query = Hypervector::random(1030, rng);
-    const auto d = dense.query(query);
-    const auto p = packed.query(PackedHypervector::from_bipolar(query));
-    EXPECT_EQ(p.best_class, d.best_class) << "trial " << trial;
-    EXPECT_EQ(p.best_similarity, d.best_similarity) << "trial " << trial;
-    ASSERT_EQ(p.similarities.size(), d.similarities.size());
-    for (std::size_t c = 0; c < d.similarities.size(); ++c) {
-      // Exact double equality — the packed scorer reproduces the dense
-      // arithmetic, it does not approximate it.
-      EXPECT_EQ(p.similarities[c], d.similarities[c]) << "class " << c;
+  // Quantized scoring under the parameter metric, plus the counter model
+  // (the metric does not apply to it) on the same samples.
+  for (const bool quantized : {true, false}) {
+    const auto [dense, packed] = twin_memories(1030, 3, 83, GetParam(), quantized);
+    Rng rng(89);
+    for (int trial = 0; trial < 10; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "quantized=" << quantized << " trial " << trial);
+      const auto query = Hypervector::random(1030, rng);
+      expect_same_result(packed.query(PackedHypervector::from_bipolar(query)),
+                         dense.query(query));
     }
   }
 }
@@ -142,18 +132,24 @@ TEST(PackedClassMemory, ClassVectorsAreExactPackingsOfDense) {
 }
 
 TEST(PackedClassMemory, RetrainUpdateTracksDense) {
-  auto [dense, packed] = twin_memories(512, 2, 101, Similarity::kCosine);
-  Rng rng(103);
-  const auto sample = Hypervector::random(512, rng);
-  dense.retrain_update(0, 1, sample);
-  packed.retrain_update(0, 1, PackedHypervector::from_bipolar(sample));
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(packed.class_vector(c).to_bipolar(), dense.class_vector(c));
+  for (const bool quantized : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "quantized=" << quantized);
+    auto [dense, packed] = twin_memories(512, 2, 101, Similarity::kCosine, quantized);
+    Rng rng(103);
+    const auto sample = Hypervector::random(512, rng);
+    const auto packed_sample = PackedHypervector::from_bipolar(sample);
+    dense.retrain_update(0, 1, sample);
+    packed.retrain_update(0, 1, packed_sample);
+    for (std::size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(packed.class_vector(c).to_bipolar(), dense.class_vector(c));
+    }
+    expect_same_result(packed.query(packed_sample), dense.query(sample));
+    // Self-update is a no-op on both sides.
+    dense.retrain_update(1, 1, sample);
+    packed.retrain_update(1, 1, packed_sample);
+    EXPECT_EQ(packed.class_vector(1).to_bipolar(), dense.class_vector(1));
+    expect_same_result(packed.query(packed_sample), dense.query(sample));
   }
-  // Self-update is a no-op on both sides.
-  dense.retrain_update(1, 1, sample);
-  packed.retrain_update(1, 1, PackedHypervector::from_bipolar(sample));
-  EXPECT_EQ(packed.class_vector(1).to_bipolar(), dense.class_vector(1));
 }
 
 TEST(PackedClassMemory, RestoreRebuildsClassVectors) {
@@ -186,7 +182,17 @@ TEST(PackedClassMemory, ValidatesArguments) {
   EXPECT_THROW((void)memory.class_count(5), std::out_of_range);
   EXPECT_THROW((void)memory.accumulator(5), std::out_of_range);
   EXPECT_THROW(memory.retrain_update(0, 7, hv), std::out_of_range);
+  EXPECT_THROW(memory.retrain_update(7, 0, hv), std::out_of_range);
   EXPECT_THROW(memory.restore(0, PackedBundleAccumulator(32), 1), std::invalid_argument);
+  EXPECT_THROW(memory.restore(2, PackedBundleAccumulator(64), 1), std::out_of_range);
+  EXPECT_THROW((void)memory.class_vector(2), std::out_of_range);
+  // merge requires the same layout: dimension, slot count, metric and
+  // scoring mode.
+  EXPECT_THROW(memory.merge(PackedClassMemory(32, 2)), std::invalid_argument);
+  EXPECT_THROW(memory.merge(PackedClassMemory(64, 3)), std::invalid_argument);
+  EXPECT_THROW(memory.merge(PackedClassMemory(64, 2, Similarity::kDot)), std::invalid_argument);
+  EXPECT_THROW(memory.merge(PackedClassMemory(64, 2, Similarity::kCosine, false)),
+               std::invalid_argument);
 }
 
 TEST(PackedClassMemory, FootprintMatchesSnapshot) {
@@ -222,19 +228,21 @@ TEST(PackedClassMemory, CopiesAndMovesQueryIdentically) {
 }
 
 TEST(PackedAssociativeMemory, CopiesQueryIdentically) {
-  Rng rng(223);
-  AssociativeMemory dense(129, 2);
-  for (std::size_t i = 0; i < 6; ++i) {
-    dense.add(i % 2, Hypervector::random(129, rng));
+  // Both scoring modes: the counter model reads the copied accumulators.
+  for (const bool quantized : {true, false}) {
+    Rng rng(223);
+    PackedClassMemory memory(129, 2, Similarity::kCosine, quantized);
+    for (std::size_t i = 0; i < 6; ++i) {
+      memory.add(i % 2, PackedHypervector::random(129, rng));
+    }
+    const auto query = PackedHypervector::random(129, rng);
+    const auto reference = memory.query(query);
+    const PackedClassMemory copied = memory;
+    EXPECT_EQ(copied.query(query).similarities, reference.similarities);
+    PackedClassMemory assigned(129, 2, Similarity::kCosine, quantized);
+    assigned = memory;
+    EXPECT_EQ(assigned.query(query).similarities, reference.similarities);
   }
-  const PackedAssociativeMemory snapshot(dense);
-  const auto query = PackedHypervector::random(129, rng);
-  const auto reference = snapshot.query(query);
-  const PackedAssociativeMemory copied = snapshot;
-  EXPECT_EQ(copied.query(query).similarities, reference.similarities);
-  PackedAssociativeMemory assigned(dense);
-  assigned = snapshot;
-  EXPECT_EQ(assigned.query(query).similarities, reference.similarities);
 }
 
 }  // namespace

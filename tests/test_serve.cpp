@@ -1,7 +1,8 @@
 /// Tests for the batching inference server (src/serve/): the lock-free
 /// request queue, serve-vs-direct bit-identity across backends and scoring
 /// modes, the coalesced batch sweep, concurrent clients, hot swap under live
-/// traffic (compatible and incompatible), and graceful drain on shutdown.
+/// traffic (compatible, incompatible, and across scoring modes), and
+/// graceful drain on shutdown.
 
 #include "serve/server.hpp"
 
@@ -227,15 +228,22 @@ TEST(ServeBatch, CoalescedSweepIsBitIdenticalToPerQueryPredictions) {
       proptest::Config{.cases = 12});
 }
 
-TEST(ServeBatch, RejectsNonQuantizedModelsAndWrongDimensions) {
+TEST(ServeBatch, ScoresCounterModelsAndRejectsWrongDimensions) {
+  // Counter models take the same batch entry point; each query is scored
+  // with the counter cosine, bit-identical to the single-query path.
   GraphHdConfig raw = base_config();
   raw.backend = Backend::kDenseBipolar;
   raw.quantized_model = false;
   auto model = trained_model(raw);
+  const auto snapshot = model.snapshot();
   hdc::Rng rng(7);
-  const std::vector<hdc::PackedHypervector> queries{
-      hdc::PackedHypervector::random(raw.dimension, rng)};
-  EXPECT_THROW((void)model.snapshot()->predict_encoded_batch(queries), std::logic_error);
+  std::vector<hdc::PackedHypervector> queries;
+  for (int q = 0; q < 9; ++q) queries.push_back(hdc::PackedHypervector::random(raw.dimension, rng));
+  const auto batched = snapshot->predict_encoded_batch(queries);
+  ASSERT_EQ(batched.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    expect_predictions_equal(batched[q], snapshot->predict_encoded(queries[q]), "counter batch");
+  }
 
   auto quantized = trained_model(base_config());
   const std::vector<hdc::PackedHypervector> wrong{hdc::PackedHypervector::random(128, rng)};
@@ -286,9 +294,9 @@ TEST(Serve, MatchesSnapshotPredictorAcrossBackendsAndScoringModes) {
 }
 
 TEST(Serve, ConvertsCrossRepresentationSubmissionsExactly) {
-  // A packed-scoring server accepts dense queries (packs them exactly as the
-  // snapshot would) and a counter-scoring server accepts packed queries
-  // (unpacks them — a bijection on ±1 data).  Both must stay bit-identical.
+  // Every server queues packed words: dense submissions are packed at
+  // submit (a bijection on ±1 data), on quantized and counter-scoring
+  // servers alike.  Both must stay bit-identical to the snapshot.
   auto packed_model = trained_model(base_config());
   const auto packed_snapshot = packed_model.snapshot();
   GraphHdConfig raw = base_config();
@@ -306,11 +314,14 @@ TEST(Serve, ConvertsCrossRepresentationSubmissionsExactly) {
     expect_predictions_equal(packed_server.submit(dense_for_packed).get(),
                              packed_snapshot->predict_encoded(dense_for_packed),
                              "dense query on packed-scoring server");
-    const auto packed_for_raw =
-        hdc::PackedHypervector::from_bipolar(raw_encoder.encode(graph));
+    const auto packed_for_raw = raw_encoder.encode_packed(graph);
     expect_predictions_equal(raw_server.submit(packed_for_raw).get(),
                              raw_snapshot->predict_encoded(packed_for_raw),
                              "packed query on counter-scoring server");
+    const auto dense_for_raw = raw_encoder.encode(graph);
+    expect_predictions_equal(raw_server.submit(dense_for_raw).get(),
+                             raw_snapshot->predict_encoded(packed_for_raw),
+                             "dense query on counter-scoring server");
   }
 }
 
@@ -372,47 +383,27 @@ TEST(Serve, ConcurrentClientsEachGetTheirOwnAnswers) {
 // Hot swap under load.
 // ---------------------------------------------------------------------------
 
-TEST(Serve, HotSwapUnderLoadServesExactlyOneOfTheTwoModels) {
-  const GraphHdConfig config = base_config();
-  auto model_a = trained_model(config, /*swapped_labels=*/false);
-  auto model_b = trained_model(config, /*swapped_labels=*/true);
-  const auto snapshot_a = model_a.snapshot();
-  const auto snapshot_b = model_b.snapshot();
+constexpr std::size_t kHammerThreads = 4;
+constexpr std::size_t kHammerReps = 150;
 
-  // Pre-encode the probes once; expected answers under both models.
-  GraphHdEncoder encoder(config);
-  std::vector<hdc::PackedHypervector> probes;
-  std::vector<Prediction> expected_a;
-  std::vector<Prediction> expected_b;
-  for (const auto& graph : probe_graphs()) {
-    probes.push_back(encoder.encode_packed(graph));
-    expected_a.push_back(snapshot_a->predict_encoded(probes.back()));
-    expected_b.push_back(snapshot_b->predict_encoded(probes.back()));
-  }
-  // The scenario only proves something if the models actually disagree.
-  bool models_differ = false;
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    if (!predictions_equal(expected_a[i], expected_b[i])) models_differ = true;
-  }
-  ASSERT_TRUE(models_differ) << "fixture models must disagree on some probe";
-
-  Server server(snapshot_a, ServerConfig{.max_batch = 8, .worker_threads = 2});
-
-  // An encoder-incompatible snapshot (different seed) to throw at the
-  // server mid-traffic: the swap must be rejected without disturbing it.
-  GraphHdConfig reseeded = config;
-  reseeded.seed ^= 0xdead;
-  auto incompatible = trained_model(reseeded);
-  const auto snapshot_incompatible = incompatible.snapshot();
-
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kReps = 150;
+/// Hammers `server` from kHammerThreads submitters while swapping it back
+/// and forth between snapshots A and B — keeps going (at least 8 laps) until
+/// every submitter finished, so swaps genuinely overlap live traffic.  When
+/// `incompatible` is set, every lap also throws it at the server and expects
+/// the swap to be rejected.  Returns how many responses matched neither
+/// model's expected answer (a mixture or a torn read).
+std::size_t hammer_while_swapping(Server& server, const std::vector<hdc::PackedHypervector>& probes,
+                                  const std::shared_ptr<const InferenceSnapshot>& snapshot_a,
+                                  const std::vector<Prediction>& expected_a,
+                                  const std::shared_ptr<const InferenceSnapshot>& snapshot_b,
+                                  const std::vector<Prediction>& expected_b,
+                                  const std::shared_ptr<const InferenceSnapshot>& incompatible) {
   std::atomic<std::size_t> wrong{0};
   std::atomic<std::size_t> clients_done{0};
   std::vector<std::thread> clients;
-  for (std::size_t t = 0; t < kThreads; ++t) {
+  for (std::size_t t = 0; t < kHammerThreads; ++t) {
     clients.emplace_back([&, t] {
-      for (std::size_t rep = 0; rep < kReps; ++rep) {
+      for (std::size_t rep = 0; rep < kHammerReps; ++rep) {
         const std::size_t p = (t + rep) % probes.size();
         const Prediction prediction = server.submit(probes[p]).get();
         // Every response must be one model or the other — never a mixture.
@@ -424,24 +415,95 @@ TEST(Serve, HotSwapUnderLoadServesExactlyOneOfTheTwoModels) {
       clients_done.fetch_add(1);
     });
   }
-  // Swap back and forth while the clients hammer the server, interleaving a
-  // rejected incompatible swap on every lap; keep going (at least 8 laps)
-  // until every client finished, so swaps genuinely overlap live traffic.
   std::size_t swaps = 0;
-  while (clients_done.load() < kThreads || swaps < 8) {
+  while (clients_done.load() < kHammerThreads || swaps < 8) {
     server.swap(swaps % 2 == 0 ? snapshot_b : snapshot_a);
     ++swaps;
-    EXPECT_THROW(server.swap(snapshot_incompatible), std::invalid_argument);
+    if (incompatible != nullptr) {
+      EXPECT_THROW(server.swap(incompatible), std::invalid_argument);
+    }
     std::this_thread::yield();
   }
   for (auto& client : clients) client.join();
+  return wrong.load();
+}
 
-  EXPECT_EQ(wrong.load(), 0u);
+/// `snapshot`'s answer to every probe.
+std::vector<Prediction> expected_under(const InferenceSnapshot& snapshot,
+                                       const std::vector<hdc::PackedHypervector>& probes) {
+  std::vector<Prediction> expected;
+  for (const auto& probe : probes) expected.push_back(snapshot.predict_encoded(probe));
+  return expected;
+}
+
+/// The swap scenarios only prove something if the two models disagree.
+bool models_differ(const std::vector<Prediction>& a, const std::vector<Prediction>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!predictions_equal(a[i], b[i])) return true;
+  }
+  return false;
+}
+
+TEST(Serve, HotSwapUnderLoadServesExactlyOneOfTheTwoModels) {
+  const GraphHdConfig config = base_config();
+  auto model_a = trained_model(config, /*swapped_labels=*/false);
+  auto model_b = trained_model(config, /*swapped_labels=*/true);
+  const auto snapshot_a = model_a.snapshot();
+  const auto snapshot_b = model_b.snapshot();
+
+  // Pre-encode the probes once; expected answers under both models.
+  GraphHdEncoder encoder(config);
+  std::vector<hdc::PackedHypervector> probes;
+  for (const auto& graph : probe_graphs()) probes.push_back(encoder.encode_packed(graph));
+  const auto expected_a = expected_under(*snapshot_a, probes);
+  const auto expected_b = expected_under(*snapshot_b, probes);
+  ASSERT_TRUE(models_differ(expected_a, expected_b)) << "fixture models must disagree";
+
+  Server server(snapshot_a, ServerConfig{.max_batch = 8, .worker_threads = 2});
+
+  // An encoder-incompatible snapshot (different seed) to throw at the
+  // server mid-traffic: the swap must be rejected without disturbing it.
+  GraphHdConfig reseeded = config;
+  reseeded.seed ^= 0xdead;
+  auto incompatible = trained_model(reseeded);
+  const auto snapshot_incompatible = incompatible.snapshot();
+
+  EXPECT_EQ(hammer_while_swapping(server, probes, snapshot_a, expected_a, snapshot_b, expected_b,
+                                  snapshot_incompatible),
+            0u);
   EXPECT_GE(server.stats().swaps, 8u);
-  EXPECT_EQ(server.stats().requests, kThreads * kReps);
+  EXPECT_EQ(server.stats().requests, kHammerThreads * kHammerReps);
   // The rejected swaps never landed: the server still serves A or B.
   const auto post = server.submit(probes[0]).get();
   EXPECT_TRUE(predictions_equal(post, expected_a[0]) || predictions_equal(post, expected_b[0]));
+}
+
+TEST(Serve, HotSwapAcrossScoringModesServesExactlyOneOfTheTwoModels) {
+  // Every snapshot scores the same queued packed words, so one server may
+  // swap between a quantized model and a counter model of the same encoder
+  // under load; each response still comes from exactly one of them.
+  GraphHdConfig config = base_config();
+  config.backend = Backend::kDenseBipolar;
+  auto quantized = trained_model(config);
+  config.quantized_model = false;
+  config.retrain_epochs = 2;
+  auto counters = trained_model(config);
+  const auto snapshot_a = quantized.snapshot();
+  const auto snapshot_b = counters.snapshot();
+
+  GraphHdEncoder encoder(config);
+  std::vector<hdc::PackedHypervector> probes;
+  for (const auto& graph : probe_graphs()) probes.push_back(encoder.encode_packed(graph));
+  const auto expected_a = expected_under(*snapshot_a, probes);
+  const auto expected_b = expected_under(*snapshot_b, probes);
+  ASSERT_TRUE(models_differ(expected_a, expected_b)) << "fixture models must disagree";
+
+  Server server(snapshot_a, ServerConfig{.max_batch = 8, .worker_threads = 2});
+  EXPECT_EQ(hammer_while_swapping(server, probes, snapshot_a, expected_a, snapshot_b, expected_b,
+                                  nullptr),
+            0u);
+  EXPECT_GE(server.stats().swaps, 8u);
+  EXPECT_EQ(server.stats().requests, kHammerThreads * kHammerReps);
 }
 
 TEST(Serve, SwapValidatesItsReplacement) {
@@ -455,18 +517,17 @@ TEST(Serve, SwapValidatesItsReplacement) {
   auto other = trained_model(reseeded);
   EXPECT_THROW(server.swap(other.snapshot()), std::invalid_argument);
 
-  // quantized_model picks the queued representation — pinned per server.
-  GraphHdConfig dense = base_config();
-  dense.backend = Backend::kDenseBipolar;
-  auto dense_model = trained_model(dense);
-  Server dense_server(dense_model.snapshot());
-  GraphHdConfig raw = dense;
-  raw.quantized_model = false;
-  auto raw_model = trained_model(raw);
-  EXPECT_THROW(dense_server.swap(raw_model.snapshot()), std::invalid_argument);
-
   // The failed swaps left the original snapshot in place.
   EXPECT_EQ(server.snapshot()->config().seed, base_config().seed);
+
+  // Scoring mode and backend are not part of the contract: every snapshot
+  // scores the queued packed words.
+  GraphHdConfig raw = base_config();
+  raw.backend = Backend::kDenseBipolar;
+  raw.quantized_model = false;
+  auto raw_model = trained_model(raw);
+  EXPECT_NO_THROW(server.swap(raw_model.snapshot()));
+  EXPECT_FALSE(server.snapshot()->config().quantized_model);
 }
 
 // ---------------------------------------------------------------------------
