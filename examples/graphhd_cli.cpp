@@ -177,8 +177,8 @@ constexpr FlagSpec kServeSpec{kServeValued, {}};
     }
     config.backend = *parsed;
   }
-  // Retraining queries the raw accumulators on the dense backend (slightly
-  // more accurate); the packed backend is quantized by construction.
+  // Retraining queries the raw accumulators under the dense tag (slightly
+  // more accurate); the packed tag keeps majority-quantized class vectors.
   if (config.retrain_epochs > 0 && config.backend == core::Backend::kDenseBipolar) {
     config.quantized_model = false;
   }

@@ -31,7 +31,7 @@ enum class VertexIdentifier {
 /// CLI derives its quantization default from it.
 enum class Backend {
   kDenseBipolar,  ///< the paper's int8 bipolar representation (the default).
-  kPackedBinary,  ///< 64-bit packed binary words; requires quantized_model.
+  kPackedBinary,  ///< 64-bit packed binary words.
 };
 
 [[nodiscard]] const char* to_string(Backend backend) noexcept;
@@ -56,8 +56,8 @@ struct GraphHdConfig {
   VertexIdentifier identifier = VertexIdentifier::kPageRank;
   hdc::Similarity metric = hdc::Similarity::kCosine;
 
-  /// Persisted backend tag (see Backend).  kPackedBinary requires
-  /// quantized_model; validate() enforces this.
+  /// Persisted backend tag (see Backend); either tag holds quantized and
+  /// counter models alike.
   Backend backend = Backend::kDenseBipolar;
 
   /// true  = class vectors are majority-thresholded bipolar vectors

@@ -1,11 +1,14 @@
 #include "core/encoder.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/runtime.hpp"
+#include "hdc/bitslice.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace graphhd::core {
@@ -62,19 +65,17 @@ void GraphHdConfig::validate() const {
   if (vectors_per_class == 0) {
     throw std::invalid_argument("GraphHdConfig: vectors_per_class must be >= 1");
   }
-  if (backend == Backend::kPackedBinary && !quantized_model) {
-    throw std::invalid_argument(
-        "GraphHdConfig: the packed backend requires quantized_model — binary "
-        "class vectors are majority-quantized by construction");
-  }
 }
 
-GraphHdEncoder::GraphHdEncoder(const GraphHdConfig& config)
-    : config_(config),
-      rank_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-rank-basis")),
-      label_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-label-basis")),
-      tie_break_seed_(hdc::derive_seed(config.seed, "bundle-tie-break")) {
+EncoderBasis::EncoderBasis(std::size_t dimension, std::uint64_t seed)
+    : ranks(dimension, hdc::derive_seed(seed, "vertex-rank-basis")),
+      labels(dimension, hdc::derive_seed(seed, "vertex-label-basis")),
+      tie_break_seed(hdc::derive_seed(seed, "bundle-tie-break")),
+      tie_words(hdc::tie_sign_words(tie_break_seed, dimension)) {}
+
+GraphHdEncoder::GraphHdEncoder(const GraphHdConfig& config) : config_(config) {
   config_.validate();
+  basis_ = std::make_shared<const EncoderBasis>(config_.dimension, config_.seed);
 }
 
 std::vector<std::size_t> GraphHdEncoder::vertex_ranks(const Graph& graph) const {
@@ -89,44 +90,36 @@ std::vector<std::size_t> GraphHdEncoder::vertex_ranks(const Graph& graph) const 
   throw std::logic_error("GraphHdEncoder: unknown identifier");
 }
 
-const Hypervector& GraphHdEncoder::rank_basis(std::size_t rank) { return rank_memory_.get(rank); }
+Hypervector GraphHdEncoder::encode(const Graph& graph) const { return encode_dense(graph, {}); }
 
-Hypervector GraphHdEncoder::encode(const Graph& graph) { return encode_impl(graph, {}); }
-
-Hypervector GraphHdEncoder::encode(const Graph& graph, std::span<const std::size_t> labels) {
+Hypervector GraphHdEncoder::encode(const Graph& graph,
+                                   std::span<const std::size_t> labels) const {
   if (labels.size() != graph.num_vertices()) {
     throw std::invalid_argument("GraphHdEncoder::encode: label count mismatch");
   }
-  return encode_impl(graph, labels);
+  return encode_dense(graph, labels);
 }
 
-Hypervector GraphHdEncoder::encode_impl(const Graph& graph,
-                                        std::span<const std::size_t> labels) {
+Hypervector GraphHdEncoder::encode_dense(const Graph& graph,
+                                         std::span<const std::size_t> labels) const {
+  const bool bind_labels = config_.use_vertex_labels && !labels.empty();
+  if (!bind_labels && config_.neighborhood_rounds == 0 && config_.use_bitslice_bundling) {
+    return encode_packed(graph).to_bipolar();
+  }
   if (graph.num_vertices() == 0) {
     throw std::invalid_argument("GraphHdEncoder: cannot encode the empty graph");
   }
   const auto ranks = vertex_ranks(graph);
-  const bool bind_labels = config_.use_vertex_labels && !labels.empty();
 
-  if (!bind_labels && config_.neighborhood_rounds == 0 && config_.use_bitslice_bundling &&
-      graph.num_edges() > 0) {
-    return encode_bitslice(graph, ranks);
-  }
-
-  // Vertex hypervectors.  Without labels they are the shared rank basis
-  // vectors (referenced, not copied — ItemMemory references are stable);
-  // with labels each vertex owns its rank × label binding.
-  std::vector<const Hypervector*> vertex_hvs(graph.num_vertices());
-  std::vector<Hypervector> owned;
-  if (bind_labels) owned.reserve(graph.num_vertices());
+  // Vertex hypervectors: the rank basis vector, bound with the vertex's
+  // label vector when labels are in use (XOR on packed words is the bipolar
+  // product), unpacked to bipolar.
+  std::vector<Hypervector> vertex_hvs;
+  vertex_hvs.reserve(graph.num_vertices());
   for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const Hypervector& basis = rank_memory_.get(ranks[v]);
-    if (bind_labels) {
-      owned.push_back(basis.bind(label_memory_.get(labels[v])));
-      vertex_hvs[v] = &owned.back();
-    } else {
-      vertex_hvs[v] = &basis;
-    }
+    const hdc::PackedHypervector& basis = basis_->ranks.get(ranks[v]);
+    vertex_hvs.push_back(bind_labels ? basis.bind(basis_->labels.get(labels[v])).to_bipolar()
+                                     : basis.to_bipolar());
   }
 
   // Extension VII.1c: HD message passing.  Each round replaces every vertex
@@ -138,30 +131,27 @@ Hypervector GraphHdEncoder::encode_impl(const Graph& graph,
   // every graph and collapse the class vectors.
   for (std::size_t round = 0; round < config_.neighborhood_rounds; ++round) {
     const std::uint64_t round_seed =
-        hdc::derive_seed(tie_break_seed_, 0x6d70ULL + round);  // "mp" + round
+        hdc::derive_seed(basis_->tie_break_seed, 0x6d70ULL + round);  // "mp" + round
     std::vector<Hypervector> refined(graph.num_vertices());
     for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
       hdc::BundleAccumulator neighborhood(config_.dimension);
-      neighborhood.add(*vertex_hvs[v]);
+      neighborhood.add(vertex_hvs[v]);
       for (const graph::VertexId u : graph.neighbors(v)) {
-        neighborhood.add(*vertex_hvs[u]);
+        neighborhood.add(vertex_hvs[u]);
       }
       refined[v] = neighborhood.threshold(hdc::derive_seed(round_seed, ranks[v]));
     }
-    owned = std::move(refined);
-    for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
-      vertex_hvs[v] = &owned[v];
-    }
+    vertex_hvs = std::move(refined);
   }
 
   hdc::BundleAccumulator accumulator(config_.dimension);
   if (graph.num_edges() == 0) {
     // Documented fallback: no edges to encode, bundle the vertices instead.
-    for (const Hypervector* hv : vertex_hvs) accumulator.add(*hv);
+    for (const Hypervector& hv : vertex_hvs) accumulator.add(hv);
   } else if (!bind_labels && config_.neighborhood_rounds == 0) {
     // The paper's edge encoding: Ence((u,v)) = Encv(u) × Encv(v).
     for (const auto& e : graph.edges()) {
-      accumulator.add_bound(*vertex_hvs[e.u], *vertex_hvs[e.v]);
+      accumulator.add_bound(vertex_hvs[e.u], vertex_hvs[e.v]);
     }
   } else {
     // Extensions with graph-dependent vertex vectors need the rank-ordered
@@ -176,110 +166,75 @@ Hypervector GraphHdEncoder::encode_impl(const Graph& graph,
     // rank order defines a canonical edge direction).
     for (const auto& e : graph.edges()) {
       const bool u_first = ranks[e.u] <= ranks[e.v];
-      const Hypervector& lo = u_first ? *vertex_hvs[e.u] : *vertex_hvs[e.v];
-      const Hypervector& hi = u_first ? *vertex_hvs[e.v] : *vertex_hvs[e.u];
+      const Hypervector& lo = u_first ? vertex_hvs[e.u] : vertex_hvs[e.v];
+      const Hypervector& hi = u_first ? vertex_hvs[e.v] : vertex_hvs[e.u];
       accumulator.add_bound(lo, hi.permute(1));
     }
   }
-  return accumulator.threshold(tie_break_seed_);
+  return accumulator.threshold(basis_->tie_break_seed);
 }
 
-hdc::PackedHypervector GraphHdEncoder::encode_packed(const Graph& graph) {
+hdc::PackedHypervector GraphHdEncoder::encode_packed(const Graph& graph) const {
   if (graph.num_vertices() == 0) {
     throw std::invalid_argument("GraphHdEncoder: cannot encode the empty graph");
   }
-  if (config_.neighborhood_rounds == 0 && config_.use_bitslice_bundling) {
-    // Fully packed path: XOR-bound basis vectors through the bit-sliced
-    // majority, thresholded straight into packed words.  For edgeless graphs
-    // the bundler holds the vertex vectors instead (the documented encoder
-    // fallback); the bitslice majority is bit-identical to the dense
-    // BundleAccumulator, so this still matches from_bipolar(encode(graph)).
-    const auto ranks = vertex_ranks(graph);
-    hdc::BitsliceBundler bundler(config_.dimension);
-    bundle_packed(graph, ranks, bundler);
-    return bundler.threshold_packed(tie_break_seed_);
+  if (config_.neighborhood_rounds != 0 || !config_.use_bitslice_bundling) {
+    // Extension paths (message passing) and the reference-bundling benchmark
+    // mode run dense and pack at the boundary.
+    return hdc::PackedHypervector::from_bipolar(encode_dense(graph, {}));
   }
-  // Extension paths (message passing) and the reference-bundling benchmark
-  // mode reuse the dense encoder and pack at the boundary.
-  return hdc::PackedHypervector::from_bipolar(encode_impl(graph, {}));
+  // Fully packed path, identical math to the dense one: per edge the bound
+  // vector is the component-wise sign product, i.e. the XOR of the packed
+  // basis vectors, counted for all edges at once by the bit-sliced majority
+  // (a dispatched SIMD kernel) and thresholded with the shared tie words.
+  // Edgeless graphs bundle the vertex vectors instead (the documented
+  // encoder fallback).
+  const auto ranks = vertex_ranks(graph);
+  const hdc::PackedItemMemory& basis = basis_->ranks;
+  basis.reserve(graph.num_vertices());
+  hdc::BitsliceBundler bundler(config_.dimension);
+  if (graph.num_edges() == 0) {
+    for (const std::size_t rank : ranks) bundler.add(basis.get(rank));
+  } else {
+    std::vector<const hdc::PackedHypervector*> vertex_vectors(graph.num_vertices());
+    for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
+      vertex_vectors[v] = &basis.get(ranks[v]);
+    }
+    std::vector<std::uint32_t> us, vs;
+    us.reserve(graph.num_edges());
+    vs.reserve(graph.num_edges());
+    for (const auto& e : graph.edges()) {
+      us.push_back(e.u);
+      vs.push_back(e.v);
+    }
+    bundler.add_bound_pairs(vertex_vectors, us, vs);
+  }
+  return bundler.threshold_packed(basis_->tie_words);
 }
 
 hdc::PackedHypervector GraphHdEncoder::encode_packed(const Graph& graph,
-                                                     std::span<const std::size_t> labels) {
+                                                     std::span<const std::size_t> labels) const {
   // Label binding entangles every vertex vector with its label vector; the
   // packed fast path only covers the shared-basis baseline, so encode dense
   // and pack at the boundary (bit-identical by construction).
   return hdc::PackedHypervector::from_bipolar(encode(graph, labels));
 }
 
-const hdc::PackedHypervector& GraphHdEncoder::packed_rank_basis(std::size_t rank) {
-  if (rank >= kPackedRankCacheCap) {
-    throw std::logic_error("GraphHdEncoder::packed_rank_basis: rank beyond cache cap");
-  }
-  while (rank >= packed_rank_cache_.size()) {
-    packed_rank_cache_.push_back(
-        hdc::PackedHypervector::from_bipolar(rank_memory_.get(packed_rank_cache_.size())));
-  }
-  return packed_rank_cache_[rank];
-}
-
-void GraphHdEncoder::bundle_packed(const Graph& graph, std::span<const std::size_t> ranks,
-                                   hdc::BitsliceBundler& bundler) {
-  // Identical math to the reference path: per edge the bound vector is the
-  // component-wise sign product, i.e. the XOR of the packed operands; the
-  // bundle is the per-component majority with the same seeded tie-break.
-  // The XOR and the carry-save majority planes run on the dispatched SIMD
-  // kernels (hdc/kernels) inside BitsliceBundler.
-  // Ranks below the cap come from the bounded cache; the (rare) tail of a
-  // huge graph is packed into per-call scratch storage so the cache never
-  // grows past kPackedRankCacheCap.
-  std::vector<const hdc::PackedHypervector*> vertex_hvs(graph.num_vertices());
-  std::deque<hdc::PackedHypervector> overflow;
-  for (graph::VertexId v = 0; v < graph.num_vertices(); ++v) {
-    const std::size_t rank = ranks[v];
-    if (rank < kPackedRankCacheCap) {
-      vertex_hvs[v] = &packed_rank_basis(rank);
-    } else {
-      overflow.push_back(hdc::PackedHypervector::from_bipolar(rank_memory_.get(rank)));
-      vertex_hvs[v] = &overflow.back();
-    }
-  }
-  if (graph.num_edges() == 0) {
-    for (const hdc::PackedHypervector* hv : vertex_hvs) bundler.add(*hv);
-    return;
-  }
-  for (const auto& e : graph.edges()) {
-    bundler.add_bound(*vertex_hvs[e.u], *vertex_hvs[e.v]);
-  }
-}
-
-Hypervector GraphHdEncoder::encode_bitslice(const Graph& graph,
-                                            std::span<const std::size_t> ranks) {
-  hdc::BitsliceBundler bundler(config_.dimension);
-  bundle_packed(graph, ranks, bundler);
-  return bundler.threshold_bipolar(tie_break_seed_);
-}
-
-std::vector<hdc::PackedHypervector> encode_dataset_packed(GraphHdEncoder& primary,
+std::vector<hdc::PackedHypervector> encode_dataset_packed(const GraphHdEncoder& encoder,
                                                           const data::GraphDataset& dataset) {
-  // Chunk 0 uses `primary` on the caller thread, every other chunk a private
-  // encoder built from the same config.  The private encoders re-derive
-  // their basis vectors on every batch call — a deliberate trade: keeping
-  // them would add cross-call mutable state for a cost that is amortized
-  // over the whole chunk anyway.
-  const GraphHdConfig& config = primary.config();
-  const bool labeled = config.use_vertex_labels && dataset.has_vertex_labels();
+  const bool labeled = encoder.config().use_vertex_labels && dataset.has_vertex_labels();
+  // Grow the shared rank basis once, up front, so the workers only read it.
+  std::size_t max_vertices = 0;
+  for (const Graph& graph : dataset.graphs()) {
+    max_vertices = std::max(max_vertices, graph.num_vertices());
+  }
+  encoder.basis().ranks.reserve(max_vertices);
+
   std::vector<hdc::PackedHypervector> encoded(dataset.size());
-  parallel::parallel_for_chunks(
-      dataset.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        std::optional<GraphHdEncoder> local;
-        if (chunk != 0) local.emplace(config);
-        GraphHdEncoder& enc = chunk == 0 ? primary : *local;
-        for (std::size_t i = begin; i < end; ++i) {
-          encoded[i] = labeled ? enc.encode_packed(dataset.graph(i), dataset.vertex_labels()[i])
-                               : enc.encode_packed(dataset.graph(i));
-        }
-      });
+  parallel::parallel_for(dataset.size(), [&](std::size_t i) {
+    encoded[i] = labeled ? encoder.encode_packed(dataset.graph(i), dataset.vertex_labels()[i])
+                         : encoder.encode_packed(dataset.graph(i));
+  });
   return encoded;
 }
 

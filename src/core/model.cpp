@@ -64,11 +64,14 @@ void cleanup_shard_checkpoints(const std::filesystem::path& base) {
 }  // namespace
 
 GraphHdModel::GraphHdModel(const GraphHdConfig& config, std::size_t num_classes)
-    : config_(config),
+    : GraphHdModel(GraphHdEncoder(config), num_classes) {}
+
+GraphHdModel::GraphHdModel(GraphHdEncoder encoder, std::size_t num_classes)
+    : config_(encoder.config()),
       num_classes_(num_classes),
-      encoder_(config),
-      memory_(config.dimension, num_classes * config.vectors_per_class, config.metric,
-              config.quantized_model),
+      encoder_(std::move(encoder)),
+      memory_(config_.dimension, num_classes * config_.vectors_per_class, config_.metric,
+              config_.quantized_model),
       next_replica_(num_classes, 0) {
   if (num_classes < 2) {
     throw std::invalid_argument("GraphHdModel: need at least 2 classes");
@@ -334,7 +337,7 @@ void GraphHdModel::fit_stream_sharded(data::GraphStream& stream, const TrainOpti
   // shard fits keep stream access single-cursor safe in borrowing mode.
   for (std::size_t shard = 0; shard < shards; ++shard) {
     data::ShardedStream shard_view(stream, shard, shards);
-    GraphHdModel shard_model(config_, num_classes_);
+    GraphHdModel shard_model(encoder_, num_classes_);
     TrainOptions shard_options = options;
     shard_options.shards = 1;
     shard_options.workers = 1;
@@ -441,7 +444,7 @@ void GraphHdModel::bundle_shards_parallel(const data::StreamOpener& opener,
       if (shard >= shards) return;
       try {
         data::ShardedStream shard_view(opener, shard, shards);
-        auto shard_model = std::make_unique<GraphHdModel>(config_, num_classes_);
+        auto shard_model = std::make_unique<GraphHdModel>(encoder_, num_classes_);
         TrainOptions shard_options = options;
         shard_options.shards = 1;
         shard_options.workers = 1;

@@ -48,9 +48,13 @@ class GraphHdModel {
  public:
   GraphHdModel(const GraphHdConfig& config, std::size_t num_classes);
 
+  /// Same, encoding through `encoder` (whose config the model adopts), so
+  /// models built from one encoder share its basis instead of rebuilding it.
+  GraphHdModel(GraphHdEncoder encoder, std::size_t num_classes);
+
   [[nodiscard]] const GraphHdConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] GraphHdEncoder& encoder() noexcept { return encoder_; }
+  [[nodiscard]] const GraphHdEncoder& encoder() const noexcept { return encoder_; }
   [[nodiscard]] Backend backend() const noexcept { return config_.backend; }
 
   /// Full training pass (Algorithm 1 + configured extensions).  May be
@@ -58,8 +62,8 @@ class GraphHdModel {
   void fit(const data::GraphDataset& train);
 
   /// Streaming training: pulls `options.chunk` graphs at a time from the
-  /// stream, encodes each chunk in parallel (same chunk-0/private-encoder
-  /// contract as fit) and bundles it, so peak memory is O(chunk), not
+  /// stream, encodes each chunk in parallel through the model's one shared
+  /// encoder (as fit does) and bundles it, so peak memory is O(chunk), not
   /// O(dataset).  When config.retrain_epochs > 0 the stream is reset() and
   /// re-encoded once per epoch instead of caching every encoding.  Because
   /// the encoders are seed-deterministic and bundling order equals stream

@@ -313,7 +313,8 @@ std::vector<Prediction> SnapshotPredictor::predict_stream(data::GraphStream& str
   return core::predict_stream(*snap, encoder_, stream, options);
 }
 
-std::vector<Prediction> predict_batch(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+std::vector<Prediction> predict_batch(const InferenceSnapshot& snapshot,
+                                      const GraphHdEncoder& encoder,
                                       const data::GraphDataset& test) {
   // Encode in parallel, then query concurrently: every query is one batched
   // one-vs-all distance kernel (hdc/kernels) against every class slot, a
@@ -325,7 +326,7 @@ std::vector<Prediction> predict_batch(const InferenceSnapshot& snapshot, GraphHd
   return predictions;
 }
 
-void predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+void predict_stream(const InferenceSnapshot& snapshot, const GraphHdEncoder& encoder,
                     data::GraphStream& stream, const StreamOptions& options,
                     const std::function<void(std::size_t, const Prediction&)>& sink) {
   options.validate("predict_stream");
@@ -341,7 +342,8 @@ void predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
   }
 }
 
-std::vector<Prediction> predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+std::vector<Prediction> predict_stream(const InferenceSnapshot& snapshot,
+                                       const GraphHdEncoder& encoder,
                                        data::GraphStream& stream, const StreamOptions& options) {
   std::vector<Prediction> predictions;
   if (const auto hint = stream.size_hint(); hint.has_value()) predictions.reserve(*hint);

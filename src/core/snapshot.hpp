@@ -184,8 +184,8 @@ class InferenceSnapshot {
 /// the hot-swap primitive.  The replacement must agree with the current
 /// snapshot on every encoding-relevant config field (dimension, seed,
 /// identifier, PageRank knobs, labels, rounds, bitslice), because
-/// the encoder and its lazily grown basis caches are retained; the *class
-/// layout* (num_classes, metric, counters) may change freely.
+/// the encoder and its shared basis are retained; the *class layout*
+/// (num_classes, metric, counters) may change freely.
 class SnapshotPredictor {
  public:
   explicit SnapshotPredictor(std::shared_ptr<const InferenceSnapshot> snapshot);
@@ -222,7 +222,7 @@ class SnapshotPredictor {
 /// encodes `test` in parallel (encode_dataset_packed), then queries
 /// `snapshot` concurrently — every query is a pure read.
 [[nodiscard]] std::vector<Prediction> predict_batch(const InferenceSnapshot& snapshot,
-                                                    GraphHdEncoder& encoder,
+                                                    const GraphHdEncoder& encoder,
                                                     const data::GraphDataset& test);
 
 /// The streaming predict loop shared by GraphHdModel and SnapshotPredictor:
@@ -230,13 +230,13 @@ class SnapshotPredictor {
 /// options.prefetch), predicts each chunk as predict_batch does and hands
 /// every prediction to `sink` in stream order.  Bit-identical to
 /// predict_batch on the materialized stream.
-void predict_stream(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+void predict_stream(const InferenceSnapshot& snapshot, const GraphHdEncoder& encoder,
                     data::GraphStream& stream, const StreamOptions& options,
                     const std::function<void(std::size_t, const Prediction&)>& sink);
 
 /// Collecting form of the streaming loop.
 [[nodiscard]] std::vector<Prediction> predict_stream(const InferenceSnapshot& snapshot,
-                                                     GraphHdEncoder& encoder,
+                                                     const GraphHdEncoder& encoder,
                                                      data::GraphStream& stream,
                                                      const StreamOptions& options);
 

@@ -1,5 +1,9 @@
 #include "hdc/bitslice.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -30,7 +34,60 @@ void BitsliceBundler::add_bound(const PackedHypervector& a, const PackedHypervec
     throw std::invalid_argument("BitsliceBundler::add_bound: dimension mismatch");
   }
   kernels::active().xor_words(scratch_.data(), a.words().data(), b.words().data(), words_);
-  add_staged();
+  add_staged(0);
+  ++count_;
+}
+
+void BitsliceBundler::add_bound_pairs(std::span<const PackedHypervector* const> vectors,
+                                      std::span<const std::uint32_t> u,
+                                      std::span<const std::uint32_t> v) {
+  if (u.size() != v.size()) {
+    throw std::invalid_argument("BitsliceBundler::add_bound_pairs: endpoint count mismatch");
+  }
+  for (std::size_t j = 0; j < u.size(); ++j) {
+    if (u[j] >= vectors.size() || v[j] >= vectors.size()) {
+      throw std::invalid_argument("BitsliceBundler::add_bound_pairs: vector index out of range");
+    }
+  }
+  for (const PackedHypervector* hv : vectors) {
+    if (hv->dimension() != dimension_) {
+      throw std::invalid_argument("BitsliceBundler::add_bound_pairs: dimension mismatch");
+    }
+  }
+  if (u.size() < kMinPairsPerVector * vectors.size()) {
+    // Sparse batch: copying the table would cost more than it saves.
+    for (std::size_t j = 0; j < u.size(); ++j) add_bound(*vectors[u[j]], *vectors[v[j]]);
+    return;
+  }
+  // Block-major copy: block c of every vector is one contiguous run, zero
+  // past the last word.
+  constexpr std::size_t kBlock = kernels::kBlockWords;
+  const std::size_t blocks = (words_ + kBlock - 1) / kBlock;
+  const std::unique_ptr<std::uint64_t[]> table(
+      new std::uint64_t[blocks * kBlock * vectors.size()]);
+  for (std::size_t i = 0; i < vectors.size(); ++i) {
+    const auto words = vectors[i]->words();
+    for (std::size_t block = 0; block < blocks; ++block) {
+      std::uint64_t* out = &table[(block * vectors.size() + i) * kBlock];
+      const std::size_t first = block * kBlock;
+      const std::size_t count = std::min(kBlock, words_ - first);
+      std::copy_n(words.begin() + static_cast<std::ptrdiff_t>(first), count, out);
+      std::fill(out + count, out + kBlock, std::uint64_t{0});
+    }
+  }
+  // Count the pairs into plain binary planes, then add plane k into the
+  // carry-save structure with weight 2^k.
+  const std::size_t levels = std::bit_width(u.size());
+  const std::size_t plane_words = blocks * kBlock;
+  std::vector<std::uint64_t> counted(levels * plane_words);
+  kernels::active().count_bound_pairs(table.get(), vectors.size(), blocks, u.data(), v.data(),
+                                      u.size(), counted.data(), levels);
+  for (std::size_t level = 0; level < levels; ++level) {
+    std::copy_n(counted.begin() + static_cast<std::ptrdiff_t>(level * plane_words), words_,
+                scratch_.begin());
+    add_staged(level);
+  }
+  count_ += u.size();
 }
 
 void BitsliceBundler::add(const PackedHypervector& hv) {
@@ -39,10 +96,11 @@ void BitsliceBundler::add(const PackedHypervector& hv) {
   }
   const auto words = hv.words();
   for (std::size_t w = 0; w < words_; ++w) scratch_[w] = words[w];
-  add_staged();
+  add_staged(0);
+  ++count_;
 }
 
-void BitsliceBundler::add_staged() {
+void BitsliceBundler::add_staged(std::size_t level) {
   // Lazy carry-save accumulation (Harley-Seal style): level k keeps one
   // committed plane (weight 2^k of the final count) and at most one pending
   // vector of the same weight.  Inserting at level k either parks the vector
@@ -53,8 +111,8 @@ void BitsliceBundler::add_staged() {
   // Invariant: the incoming vector always lives in scratch_ — add() and
   // add_bound() stage into it, and each full-adder step swaps the carry
   // buffer back into it.
-  for (std::size_t level = 0;; ++level) {
-    if (level >= planes_.size()) {
+  for (;; ++level) {
+    while (level >= planes_.size()) {
       planes_.emplace_back(words_, 0);
       pending_.emplace_back(words_, 0);
       pending_valid_.push_back(false);
@@ -72,7 +130,6 @@ void BitsliceBundler::add_staged() {
     // The carry becomes the next level's incoming vector (kept in scratch_).
     scratch_.swap(carry_);
   }
-  ++count_;
 }
 
 void BitsliceBundler::flush_pending() {
@@ -138,65 +195,34 @@ std::vector<std::uint32_t> BitsliceBundler::negative_counts() {
   return counts;
 }
 
-Hypervector BitsliceBundler::threshold_bipolar(std::uint64_t tie_break_seed) {
-  flush_pending();
-  std::vector<std::int8_t> out(dimension_);
+PackedHypervector BitsliceBundler::threshold_packed(std::uint64_t tie_break_seed) {
+  // Odd counts cannot tie, so they never pay for the stream.
+  if ((count_ & 1u) != 0) return threshold_packed(std::span<const std::uint64_t>{});
+  return threshold_packed(tie_sign_words(tie_break_seed, dimension_));
+}
 
+PackedHypervector BitsliceBundler::threshold_packed(std::span<const std::uint64_t> tie_words) {
+  flush_pending();
   // Component is -1 iff neg > count/2.  Bit-sliced comparison against the
   // constant count/2 yields both the strict-majority mask (greater) and the
   // tie mask (neither greater nor less == exactly count/2, only possible
-  // for even counts).
+  // for even counts).  The strict-majority mask *is* the packed result
+  // (bit set == component -1); its tail bits are clear because the planes
+  // never carry data past the dimension.
   std::vector<std::uint64_t> greater, less;
   compare_counters(count_ / 2, greater, less);
-
-  if ((count_ & 1u) != 0) {
-    // Odd count: neg > count/2 iff neg >= ceil(count/2) iff greater-mask
-    // (neg == count/2 exactly is impossible... for odd counts neg can equal
-    // floor(count/2), which compares as neither greater nor less — that is
-    // the +1 side).  Ties cannot happen; skip the tie stream entirely.
-    for (std::size_t i = 0; i < dimension_; ++i) {
-      out[i] = ((greater[i >> 6] >> (i & 63)) & 1u) ? std::int8_t{-1} : std::int8_t{1};
+  if ((count_ & 1u) == 0) {
+    if (tie_words.size() != words_) {
+      throw std::invalid_argument("BitsliceBundler::threshold_packed: " +
+                                  std::to_string(tie_words.size()) + " tie words for " +
+                                  std::to_string(words_) + " packed words");
     }
-    return Hypervector(std::move(out));
-  }
-
-  // Even count: equal-to-count/2 components are ties, resolved by the seeded
-  // stream with one draw per component (the BundleAccumulator convention).
-  Rng tie_rng(tie_break_seed);
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    const int tie_sign = tie_rng.next_sign();
-    const bool is_greater = (greater[i >> 6] >> (i & 63)) & 1u;
-    const bool is_less = (less[i >> 6] >> (i & 63)) & 1u;
-    if (is_greater) {
-      out[i] = -1;
-    } else if (is_less) {
-      out[i] = 1;
-    } else {
-      out[i] = static_cast<std::int8_t>(tie_sign);
+    // Even count: tie components take the seeded stream, one draw per
+    // component (its tail bits are zero, which also masks the undecided
+    // tail slack).
+    for (std::size_t w = 0; w < words_; ++w) {
+      greater[w] |= ~(greater[w] | less[w]) & tie_words[w];
     }
-  }
-  return Hypervector(std::move(out));
-}
-
-PackedHypervector BitsliceBundler::threshold_packed(std::uint64_t tie_break_seed) {
-  flush_pending();
-  std::vector<std::uint64_t> greater, less;
-  compare_counters(count_ / 2, greater, less);
-
-  if ((count_ & 1u) != 0) {
-    // Odd count: ties are impossible and the strict-majority mask *is* the
-    // packed result (bit set == component -1).  Tail bits of `greater` are
-    // clear because the planes never carry data past the dimension.
-    return PackedHypervector::from_words(std::move(greater), dimension_);
-  }
-
-  // Even count: tie components (neither greater nor less) take the seeded
-  // stream, one draw per component as in threshold_bipolar — applied at the
-  // word level with the shared tie_sign_words stream (its tail bits are
-  // zero, which also masks the undecided tail slack).
-  const std::vector<std::uint64_t> tie = tie_sign_words(tie_break_seed, dimension_);
-  for (std::size_t w = 0; w < words_; ++w) {
-    greater[w] |= ~(greater[w] | less[w]) & tie[w];
   }
   return PackedHypervector::from_words(std::move(greater), dimension_);
 }

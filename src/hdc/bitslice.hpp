@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -29,7 +30,7 @@ namespace graphhd::hdc {
 /// Majority bundler over XOR-bound packed hypervector pairs.
 ///
 /// Counts, per component, how many added inputs had that component equal to
-/// -1 (bit set in the packed convention).  threshold_bipolar() reproduces
+/// -1 (bit set in the packed convention).  threshold_packed() reproduces
 /// exactly BundleAccumulator::threshold()'s majority + seeded-tie-break
 /// semantics.
 class BitsliceBundler {
@@ -42,6 +43,15 @@ class BitsliceBundler {
   /// Adds bind(a, b) — i.e. the packed XOR — without materializing it.
   void add_bound(const PackedHypervector& a, const PackedHypervector& b);
 
+  /// Adds bind(*vectors[u[j]], *vectors[v[j]]) for every pair j — the same
+  /// counts as one add_bound per pair, taken (when the pairs are dense
+  /// enough) by one kernel call, kernels::count_bound_pairs over a
+  /// block-major copy of `vectors`, and merged into the counters.  The
+  /// encoder's edge loop: `vectors` are a graph's vertex vectors, (u, v)
+  /// its edges.
+  void add_bound_pairs(std::span<const PackedHypervector* const> vectors,
+                       std::span<const std::uint32_t> u, std::span<const std::uint32_t> v);
+
   /// Adds one packed vector.
   void add(const PackedHypervector& hv);
 
@@ -52,23 +62,28 @@ class BitsliceBundler {
   /// Majority threshold with the same convention as
   /// BundleAccumulator::threshold: component sign of (count_+1 - count_-1),
   /// exact ties resolved by the seeded ±1 stream (one draw per component);
-  /// odd add counts cannot tie and skip the stream.
-  [[nodiscard]] Hypervector threshold_bipolar(
-      std::uint64_t tie_break_seed = 0x7fb5d329728ea185ULL);
-
-  /// Same majority + tie-break as threshold_bipolar, but produces the packed
-  /// representation directly (no bipolar round-trip) — the encoder's output
-  /// for the packed-binary backend.  Guaranteed bit-identical to
-  /// `PackedHypervector::from_bipolar(threshold_bipolar(seed))`.
+  /// odd add counts cannot tie and skip the stream.  Produces the packed
+  /// representation directly; bit-identical to
+  /// `PackedHypervector::from_bipolar(BundleAccumulator::threshold(seed))`.
   [[nodiscard]] PackedHypervector threshold_packed(
-      std::uint64_t tie_break_seed = 0x7fb5d329728ea185ULL);
+      std::uint64_t tie_break_seed = kMajorityTieSeed);
+
+  /// Same threshold with the tie stream already packed: `tie_words` must be
+  /// tie_sign_words(seed, dimension()) — callers that threshold many bundles
+  /// with one seed (the encoder) build it once.  Ignored for odd counts.
+  [[nodiscard]] PackedHypervector threshold_packed(std::span<const std::uint64_t> tie_words);
 
   void clear() noexcept;
 
  private:
-  /// Adds the vector currently staged in scratch_ into the lazy carry-save
-  /// counter structure.
-  void add_staged();
+  /// add_bound_pairs copies the vectors into the kernel's table only when
+  /// there are at least this many pairs per vector; sparser batches take
+  /// the per-pair path (measured crossover on AVX-512 and AVX2: 3-4).
+  static constexpr std::size_t kMinPairsPerVector = 4;
+
+  /// Adds the vector currently staged in scratch_, with weight 2^level,
+  /// into the lazy carry-save counter structure (count_ is the caller's).
+  void add_staged(std::size_t level);
 
   /// Merges all pending vectors into the committed planes (carry-
   /// propagating), leaving a plain bit-sliced binary counter.

@@ -24,6 +24,8 @@ namespace graphhd::hdc {
 /// class vectors stop being reproducible across representations.
 inline constexpr std::uint64_t kMajorityTieSeed = 0x7fb5d329728ea185ULL;
 
+class PackedHypervector;
+
 /// Dense bipolar hypervector with components in {-1, +1}.
 ///
 /// Value type: copyable, movable, equality-comparable.  The dimension is a
@@ -83,6 +85,8 @@ class Hypervector {
   friend bool operator==(const Hypervector&, const Hypervector&) = default;
 
  private:
+  friend class PackedHypervector;  ///< to_bipolar() writes ±1 bytes directly.
+
   std::vector<std::int8_t> data_;
 };
 

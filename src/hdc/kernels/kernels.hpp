@@ -3,7 +3,8 @@
 ///
 /// GraphHD's efficiency claim reduces to five inner loops: packed XOR-bind,
 /// popcount-Hamming distance, the batched one-vs-all class-memory query,
-/// the bit-sliced majority (full adder + counter threshold), and the dense
+/// the bit-sliced majority (full adder, batched edge count + counter
+/// threshold), and the dense
 /// bipolar dot/accumulate paths.  This module provides one scalar reference
 /// implementation plus optional AVX2 / AVX-512 / NEON variants, selected
 /// once at startup from CPUID (overridable with GRAPHHD_KERNEL=scalar|avx2|
@@ -26,6 +27,10 @@
 #include <vector>
 
 namespace graphhd::hdc::kernels {
+
+/// Words per block of the count_bound_pairs vector table (512 bits: one
+/// AVX-512 register, one cache line).
+inline constexpr std::size_t kBlockWords = 8;
 
 /// Table of kernel entry points for one ISA variant.
 ///
@@ -56,6 +61,19 @@ struct KernelOps {
   /// step of the bitslice majority bundler.
   void (*full_adder)(std::uint64_t* plane, const std::uint64_t* pending,
                      const std::uint64_t* incoming, std::uint64_t* carry, std::size_t n);
+  /// Bit-sliced count of XOR-bound pairs over a block-major vector table:
+  /// word w of vector i sits at table[((w / kBlockWords) * num_vectors + i)
+  /// * kBlockWords + w % kBlockWords], `blocks` blocks per vector.  For every
+  /// bit of the blocks * kBlockWords words, counts the pairs j < num_pairs
+  /// whose vectors u[j] ^ v[j] have that bit set and writes the count in
+  /// binary: bit k into plane k, planes[k * blocks * kBlockWords + w].
+  /// Requires num_planes >= bit_width(num_pairs) and every index <
+  /// num_vectors; all planes are overwritten.  The edge bundle of the
+  /// bitslice majority: each pass over the pairs reads one cache-resident
+  /// block of every vector instead of two whole vectors per pair.
+  void (*count_bound_pairs)(const std::uint64_t* table, std::size_t num_vectors,
+                            std::size_t blocks, const std::uint32_t* u, const std::uint32_t* v,
+                            std::size_t num_pairs, std::uint64_t* planes, std::size_t num_planes);
 
   // --- signed per-component counters (bundling) ---------------------------
   /// counts[i] += bit_i(bits) ? -weight : +weight for i < dimension — the

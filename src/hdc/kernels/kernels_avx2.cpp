@@ -16,6 +16,7 @@
 
 #include <bit>
 
+#include "hdc/kernels/count_pairs.hpp"
 #include "hdc/kernels/kernels_ref.hpp"
 
 namespace graphhd::hdc::kernels {
@@ -121,6 +122,34 @@ void full_adder(std::uint64_t* plane, const std::uint64_t* pending, const std::u
     plane[w] = s ^ p ^ x;
     carry[w] = (s & p) | (s & x) | (p & x);
   }
+}
+
+/// One ymm register (4 words) per lane.
+struct YmmLane {
+  using V = __m256i;
+  static constexpr std::size_t kWords = 4;
+  static V zero() { return _mm256_setzero_si256(); }
+  static V load(const std::uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(std::uint64_t* p, V x) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x);
+  }
+  static V xor_(V a, V b) { return _mm256_xor_si256(a, b); }
+  static V and_(V a, V b) { return _mm256_and_si256(a, b); }
+  static bool any(V x) { return _mm256_testz_si256(x, x) == 0; }
+  static void csa(V& high, V& low, V a, V b, V c) {
+    const V t = _mm256_xor_si256(a, b);
+    high = _mm256_or_si256(_mm256_and_si256(a, b), _mm256_and_si256(t, c));
+    low = _mm256_xor_si256(t, c);
+  }
+};
+
+void count_bound_pairs(const std::uint64_t* table, std::size_t num_vectors, std::size_t blocks,
+                       const std::uint32_t* u, const std::uint32_t* v, std::size_t num_pairs,
+                       std::uint64_t* planes, std::size_t num_planes) {
+  detail::count_bound_pairs<YmmLane>(table, num_vectors, blocks, u, v, num_pairs, planes,
+                                     num_planes);
 }
 
 void accumulate_packed(std::int32_t* counts, const std::uint64_t* bits, std::size_t dimension,
@@ -242,6 +271,7 @@ const KernelOps kAvx2Ops = {
     /*hamming_words=*/hamming_words,
     /*hamming_batch=*/hamming_batch,
     /*full_adder=*/full_adder,
+    /*count_bound_pairs=*/count_bound_pairs,
     /*accumulate_packed=*/accumulate_packed,
     /*threshold_counters=*/threshold_counters,
     /*dot_i8=*/dot_i8,

@@ -19,6 +19,7 @@
 
 #include <bit>
 
+#include "hdc/kernels/count_pairs.hpp"
 #include "hdc/kernels/kernels_ref.hpp"
 
 namespace graphhd::hdc::kernels {
@@ -109,6 +110,30 @@ void full_adder(std::uint64_t* plane, const std::uint64_t* pending, const std::u
     plane[w] = s ^ p ^ x;
     carry[w] = (s & p) | (s & x) | (p & x);
   }
+}
+
+/// One zmm register (8 words) per lane.
+struct ZmmLane {
+  using V = __m512i;
+  static constexpr std::size_t kWords = 8;
+  static V zero() { return _mm512_setzero_si512(); }
+  static V load(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
+  static void store(std::uint64_t* p, V x) { _mm512_storeu_si512(p, x); }
+  static V xor_(V a, V b) { return _mm512_xor_si512(a, b); }
+  static V and_(V a, V b) { return _mm512_and_si512(a, b); }
+  static bool any(V x) { return _mm512_test_epi64_mask(x, x) != 0; }
+  // Truth-table immediates: 0xE8 = majority(a, b, c), 0x96 = a ^ b ^ c.
+  static void csa(V& high, V& low, V a, V b, V c) {
+    high = _mm512_ternarylogic_epi64(a, b, c, 0xE8);
+    low = _mm512_ternarylogic_epi64(a, b, c, 0x96);
+  }
+};
+
+void count_bound_pairs(const std::uint64_t* table, std::size_t num_vectors, std::size_t blocks,
+                       const std::uint32_t* u, const std::uint32_t* v, std::size_t num_pairs,
+                       std::uint64_t* planes, std::size_t num_planes) {
+  detail::count_bound_pairs<ZmmLane>(table, num_vectors, blocks, u, v, num_pairs, planes,
+                                     num_planes);
 }
 
 void accumulate_packed(std::int32_t* counts, const std::uint64_t* bits, std::size_t dimension,
@@ -227,6 +252,7 @@ const KernelOps kAvx512Ops = {
     /*hamming_words=*/hamming_words,
     /*hamming_batch=*/hamming_batch,
     /*full_adder=*/full_adder,
+    /*count_bound_pairs=*/count_bound_pairs,
     /*accumulate_packed=*/accumulate_packed,
     /*threshold_counters=*/threshold_counters,
     /*dot_i8=*/dot_i8,

@@ -124,6 +124,7 @@ const KernelOps kNeonOps = {
     /*hamming_words=*/hamming_words,
     /*hamming_batch=*/hamming_batch,
     /*full_adder=*/full_adder,
+    /*count_bound_pairs=*/ref::count_bound_pairs,
     /*accumulate_packed=*/ref::accumulate_packed,
     /*threshold_counters=*/ref::threshold_counters,
     /*dot_i8=*/dot_i8,

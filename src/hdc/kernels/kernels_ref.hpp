@@ -21,6 +21,9 @@ void hamming_batch(const std::uint64_t* query, const std::uint64_t* const* rows,
                    std::size_t num_rows, std::size_t n, std::size_t* out);
 void full_adder(std::uint64_t* plane, const std::uint64_t* pending, const std::uint64_t* incoming,
                 std::uint64_t* carry, std::size_t n);
+void count_bound_pairs(const std::uint64_t* table, std::size_t num_vectors, std::size_t blocks,
+                       const std::uint32_t* u, const std::uint32_t* v, std::size_t num_pairs,
+                       std::uint64_t* planes, std::size_t num_planes);
 void accumulate_packed(std::int32_t* counts, const std::uint64_t* bits, std::size_t dimension,
                        std::int32_t weight);
 void threshold_counters(const std::int32_t* counts, std::size_t dimension, std::uint64_t* negative,

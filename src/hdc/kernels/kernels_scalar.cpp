@@ -6,6 +6,7 @@
 
 #include <bit>
 
+#include "hdc/kernels/count_pairs.hpp"
 #include "hdc/kernels/kernels.hpp"
 #include "hdc/kernels/kernels_ref.hpp"
 
@@ -39,6 +40,51 @@ void full_adder(std::uint64_t* plane, const std::uint64_t* pending, const std::u
     plane[w] = s ^ p ^ x;
     carry[w] = (s & p) | (s & x) | (p & x);
   }
+}
+
+namespace {
+
+/// Four words per lane, as plain loops the compiler may vectorize with
+/// whatever the baseline ISA offers.
+struct QuadLane {
+  struct V {
+    std::uint64_t w[4];
+  };
+  static constexpr std::size_t kWords = 4;
+  template <class Op>
+  static V map(V a, V b, Op op) {
+    V out;
+    for (std::size_t i = 0; i < 4; ++i) out.w[i] = op(a.w[i], b.w[i]);
+    return out;
+  }
+  static V zero() { return V{}; }
+  static V load(const std::uint64_t* p) { return V{{p[0], p[1], p[2], p[3]}}; }
+  static void store(std::uint64_t* p, V x) {
+    for (std::size_t i = 0; i < 4; ++i) p[i] = x.w[i];
+  }
+  static V xor_(V a, V b) {
+    return map(a, b, [](std::uint64_t x, std::uint64_t y) { return x ^ y; });
+  }
+  static V and_(V a, V b) {
+    return map(a, b, [](std::uint64_t x, std::uint64_t y) { return x & y; });
+  }
+  static bool any(V x) { return (x.w[0] | x.w[1] | x.w[2] | x.w[3]) != 0; }
+  static void csa(V& high, V& low, V a, V b, V c) {
+    for (std::size_t i = 0; i < 4; ++i) {
+      const std::uint64_t t = a.w[i] ^ b.w[i];
+      high.w[i] = (a.w[i] & b.w[i]) | (t & c.w[i]);
+      low.w[i] = t ^ c.w[i];
+    }
+  }
+};
+
+}  // namespace
+
+void count_bound_pairs(const std::uint64_t* table, std::size_t num_vectors, std::size_t blocks,
+                       const std::uint32_t* u, const std::uint32_t* v, std::size_t num_pairs,
+                       std::uint64_t* planes, std::size_t num_planes) {
+  detail::count_bound_pairs<QuadLane>(table, num_vectors, blocks, u, v, num_pairs, planes,
+                                      num_planes);
 }
 
 void accumulate_packed(std::int32_t* counts, const std::uint64_t* bits, std::size_t dimension,
@@ -102,6 +148,7 @@ const KernelOps kScalarOps = {
     /*hamming_words=*/ref::hamming_words,
     /*hamming_batch=*/ref::hamming_batch,
     /*full_adder=*/ref::full_adder,
+    /*count_bound_pairs=*/ref::count_bound_pairs,
     /*accumulate_packed=*/ref::accumulate_packed,
     /*threshold_counters=*/ref::threshold_counters,
     /*dot_i8=*/ref::dot_i8,

@@ -1,6 +1,8 @@
 #include "hdc/packed.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -55,11 +57,23 @@ PackedHypervector PackedHypervector::from_words(std::vector<std::uint64_t> words
 }
 
 Hypervector PackedHypervector::to_bipolar() const {
-  std::vector<std::int8_t> comps(dimension_);
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    comps[i] = bit_unchecked(i) ? std::int8_t{-1} : std::int8_t{1};
+  // One table lookup per byte: entry b holds the eight components of byte
+  // value b (bit set == -1).  The output is ±1 by construction, so it skips
+  // the checking constructor.
+  static constexpr auto kSigns = [] {
+    std::array<std::array<std::int8_t, 8>, 256> table{};
+    for (std::size_t b = 0; b < 256; ++b) {
+      for (std::size_t k = 0; k < 8; ++k) table[b][k] = ((b >> k) & 1u) ? -1 : 1;
+    }
+    return table;
+  }();
+  Hypervector hv(dimension_);
+  std::int8_t* out = hv.data_.data();
+  for (std::size_t i = 0; i < dimension_; i += 8) {
+    const auto byte = static_cast<std::uint8_t>(words_[i >> 6] >> (i & 63));
+    std::memcpy(out + i, kSigns[byte].data(), std::min<std::size_t>(8, dimension_ - i));
   }
-  return Hypervector(std::move(comps));
+  return hv;
 }
 
 void PackedHypervector::set_bit_unchecked(std::size_t i, bool value) noexcept {

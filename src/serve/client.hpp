@@ -2,14 +2,14 @@
 /// Synchronous graph-in/prediction-out facade over serve::Server.
 ///
 /// The server deals only in *encoded* queries (that is what batches
-/// coalesce); encoding a graph needs a GraphHdEncoder, whose lazily grown
-/// basis caches make it cheap to reuse but unsafe to share across threads.
-/// A Client therefore owns one encoder, built from the server's snapshot
-/// config, and submits encode_packed output (the representation the server
-/// queues) — the standard arrangement is one Client per client thread.
-/// Encoders are seed-deterministic, so every Client encodes a graph to the
-/// same bits the trainer would, and server responses stay bit-identical to
-/// SnapshotPredictor::predict / predict_batch on the same graphs.
+/// coalesce); a Client encodes each graph through Server::encoder (a handle
+/// on one immutable basis) and submits the encode_packed output (the
+/// representation the server queues).  Encoding is const and thread-safe
+/// and Server::submit may be called from any thread, so one Client may be
+/// shared by any number of threads.  Every
+/// Client encodes a graph to the same bits the trainer would, so server
+/// responses stay bit-identical to SnapshotPredictor::predict /
+/// predict_batch on the same graphs.
 ///
 /// A Client stays valid across Server::swap — the swap contract
 /// (core::encoder_compatible) guarantees every future snapshot encodes
@@ -19,18 +19,15 @@
 
 #include <future>
 
-#include "core/encoder.hpp"
 #include "graph/graph.hpp"
 #include "serve/server.hpp"
 
 namespace graphhd::serve {
 
-/// Per-thread serving front end: encodes graphs and submits them.
-/// Not thread-safe (the encoder mutates its caches); create one per thread.
+/// Serving front end: encodes graphs and submits them.  Thread-safe.
 class Client {
  public:
-  /// Builds the encoder from `server`'s current snapshot config.  The
-  /// server must outlive the client.
+  /// Shares `server`'s encoder.  The server must outlive the client.
   explicit Client(Server& server);
 
   /// Encode + submit + wait: the synchronous single-query round trip.
@@ -46,7 +43,6 @@ class Client {
 
  private:
   Server& server_;
-  core::GraphHdEncoder encoder_;
 };
 
 }  // namespace graphhd::serve

@@ -33,6 +33,7 @@ class GateRelease {
 Server::Server(std::shared_ptr<const core::InferenceSnapshot> snapshot, ServerConfig config)
     : config_(config),
       dimension_(require_snapshot(snapshot).dimension()),
+      encoder_(snapshot->config()),
       snapshot_(std::move(snapshot)),
       queue_(config.queue_capacity) {
   if (config_.worker_threads == 0) {

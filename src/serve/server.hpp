@@ -31,7 +31,7 @@
 /// from any number of threads.  Completion callbacks run on worker threads
 /// and must not throw (exceptions are swallowed to keep the serving loop
 /// alive).  Encoding is the *client's* job — see serve/client.hpp for the
-/// graph-in/prediction-out facade that owns a per-thread encoder.
+/// graph-in/prediction-out facade; encoder() is the handle clients share.
 
 #pragma once
 
@@ -46,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/encoder.hpp"
 #include "core/snapshot.hpp"
 #include "hdc/hypervector.hpp"
 #include "hdc/packed.hpp"
@@ -94,6 +95,11 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
+
+  /// The encoder built once from the first snapshot's config.  Every
+  /// snapshot swap() accepts encodes identically, so it stays valid for the
+  /// server's lifetime; it is thread-safe and cheap to copy.
+  [[nodiscard]] const core::GraphHdEncoder& encoder() const noexcept { return encoder_; }
 
   /// The currently served snapshot (atomic load; never null).
   [[nodiscard]] std::shared_ptr<const core::InferenceSnapshot> snapshot() const;
@@ -151,6 +157,7 @@ class Server {
 
   ServerConfig config_;
   std::size_t dimension_ = 0;
+  core::GraphHdEncoder encoder_;
 
   /// Atomically published snapshot.  std::atomic<shared_ptr> where the
   /// standard library provides it, the atomic_load/atomic_store free

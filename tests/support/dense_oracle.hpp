@@ -5,7 +5,10 @@
 /// Every model, snapshot and server runs on one representation: packed
 /// queries over one signed-counter class store (hdc::PackedClassMemory).
 /// This header rebuilds the paper's arithmetic from the dense primitives
-/// only — GraphHdEncoder::encode, one hdc::BundleAccumulator per class slot,
+/// only — its own baseline encoder (BaselineEncoder: an hdc::ItemMemory rank
+/// basis, independent of the encoder's packed basis; GraphHdEncoder::encode
+/// only for the label and message-passing extensions), one
+/// hdc::BundleAccumulator per class slot,
 /// the seeded majority threshold, hdc::similarity for quantized models and
 /// BundleAccumulator::cosine for counter models — with the same training
 /// schedule as core::GraphHdModel (round-robin prototypes, perceptron
@@ -15,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/config.hpp"
@@ -22,10 +26,40 @@
 #include "core/snapshot.hpp"
 #include "data/dataset.hpp"
 #include "hdc/hypervector.hpp"
+#include "hdc/item_memory.hpp"
 #include "hdc/ops.hpp"
 #include "hdc/packed_assoc.hpp"
 
 namespace graphhd::oracle {
+
+/// The paper's baseline encoder (structure only) from the dense primitives:
+/// its own ItemMemory rank basis, one BundleAccumulator::add_bound per edge
+/// (the vertex vectors for edgeless graphs) and the seeded majority
+/// threshold.  Only the centrality ranks come from the encoder under test.
+class BaselineEncoder {
+ public:
+  explicit BaselineEncoder(const core::GraphHdConfig& config)
+      : ranker_(config),
+        rank_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-rank-basis")),
+        tie_break_seed_(hdc::derive_seed(config.seed, "bundle-tie-break")) {}
+
+  [[nodiscard]] hdc::Hypervector encode(const graph::Graph& graph) {
+    const std::vector<std::size_t> ranks = ranker_.vertex_ranks(graph);
+    hdc::BundleAccumulator accumulator(rank_memory_.dimension());
+    if (graph.num_edges() == 0) {
+      for (const std::size_t rank : ranks) accumulator.add(rank_memory_.get(rank));
+    }
+    for (const auto& e : graph.edges()) {
+      accumulator.add_bound(rank_memory_.get(ranks[e.u]), rank_memory_.get(ranks[e.v]));
+    }
+    return accumulator.threshold(tie_break_seed_);
+  }
+
+ private:
+  core::GraphHdEncoder ranker_;
+  hdc::ItemMemory rank_memory_;
+  std::uint64_t tie_break_seed_;
+};
 
 /// Dense class store: one BundleAccumulator per slot.
 class DenseClassMemory {
@@ -89,6 +123,7 @@ class DenseModel {
       : config_(config),
         num_classes_(num_classes),
         encoder_(config),
+        baseline_(config),
         memory_(config.dimension, num_classes * config.vectors_per_class, config.metric,
                 config.quantized_model),
         next_replica_(num_classes, 0) {}
@@ -117,7 +152,7 @@ class DenseModel {
   }
 
   void partial_fit(const graph::Graph& graph, std::size_t label) {
-    bundle(encoder_.encode(graph), label);
+    bundle(encode(graph, {}), label);
   }
 
   [[nodiscard]] core::Prediction predict_encoded(const hdc::Hypervector& encoded) const {
@@ -134,7 +169,7 @@ class DenseModel {
   }
 
   [[nodiscard]] core::Prediction predict(const graph::Graph& graph) {
-    return predict_encoded(encoder_.encode(graph));
+    return predict_encoded(encode(graph, {}));
   }
 
   /// Encodes like fit(): vertex labels are bound in when configured and
@@ -148,13 +183,22 @@ class DenseModel {
   }
 
   [[nodiscard]] const DenseClassMemory& memory() const noexcept { return memory_; }
-  [[nodiscard]] core::GraphHdEncoder& encoder() noexcept { return encoder_; }
 
  private:
   [[nodiscard]] hdc::Hypervector encode(const data::GraphDataset& dataset, std::size_t i) {
     const bool labeled = config_.use_vertex_labels && dataset.has_vertex_labels();
-    return labeled ? encoder_.encode(dataset.graph(i), dataset.vertex_labels()[i])
-                   : encoder_.encode(dataset.graph(i));
+    return encode(dataset.graph(i), labeled ? std::span<const std::size_t>(
+                                                  dataset.vertex_labels()[i])
+                                            : std::span<const std::size_t>());
+  }
+
+  /// The baseline encoder unless an extension (labels, message passing)
+  /// changes the vertex vectors.
+  [[nodiscard]] hdc::Hypervector encode(const graph::Graph& graph,
+                                        std::span<const std::size_t> labels) {
+    if (!labels.empty()) return encoder_.encode(graph, labels);
+    if (config_.neighborhood_rounds > 0) return encoder_.encode(graph);
+    return baseline_.encode(graph);
   }
 
   void bundle(const hdc::Hypervector& encoded, std::size_t label) {
@@ -166,6 +210,7 @@ class DenseModel {
   core::GraphHdConfig config_;
   std::size_t num_classes_;
   core::GraphHdEncoder encoder_;
+  BaselineEncoder baseline_;
   DenseClassMemory memory_;
   std::vector<std::size_t> next_replica_;
 };

@@ -80,7 +80,7 @@ struct BackendCase {
   bool use_vertex_labels = false;
   bool bitslice = true;
   bool inverse_hamming = false;
-  bool quantized = true;   ///< false = the counter model (dense backend only).
+  bool quantized = true;   ///< false = the counter model.
   bool tudataset = false;  ///< MUTAG-replica fixture (carries vertex labels).
   std::size_t num_vertices = 40;
   std::size_t num_graphs = 30;
@@ -168,8 +168,8 @@ constexpr std::size_t kPinnedBackendCases = 9;
 
 /// The equivalence contract: a model trained on either backend value
 /// predicts bit-identically (labels AND similarity doubles) to the dense
-/// oracle trained on the same samples, at 1, 2 and 8 threads.  Counter
-/// models exist on the dense backend only (config validation).
+/// oracle trained on the same samples, at 1, 2 and 8 threads — quantized
+/// and counter models alike.
 [[nodiscard]] bool backends_agree(const BackendCase& c, std::ostream& diag) {
   diag << c;
   ThreadGuard guard;
@@ -180,7 +180,6 @@ constexpr std::size_t kPinnedBackendCases = 9;
   const auto reference = oracle.predict_batch(dataset);
 
   for (const Backend backend : {Backend::kDenseBipolar, Backend::kPackedBinary}) {
-    if (!c.quantized && backend == Backend::kPackedBinary) continue;
     GraphHdConfig backend_config = config;
     backend_config.backend = backend;
     GraphHdModel model(backend_config, dataset.num_classes());
@@ -340,12 +339,27 @@ TEST(PackedBackend, PredictEncodedAcceptsEitherRepresentation) {
   EXPECT_EQ(via_dense.score, via_packed.score);
 }
 
-TEST(PackedBackend, RejectsNonQuantizedModel) {
+TEST(PackedBackend, AcceptsNonQuantizedModel) {
+  // The backend tag selects no code path, so a counter model may carry
+  // either tag and scores identically under both.
   GraphHdConfig config = base_config();
-  config.backend = Backend::kPackedBinary;
   config.quantized_model = false;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  EXPECT_THROW(GraphHdModel(config, 2), std::invalid_argument);
+  GraphHdModel dense(config, 2);
+  config.backend = Backend::kPackedBinary;
+  EXPECT_NO_THROW(config.validate());
+  GraphHdModel packed(config, 2);
+  EXPECT_FALSE(packed.memory().quantized());
+  for (const std::size_t n : {6u, 8u, 9u}) {
+    dense.partial_fit(star_graph(n), 0);
+    packed.partial_fit(star_graph(n), 0);
+    dense.partial_fit(cycle_graph(n), 1);
+    packed.partial_fit(cycle_graph(n), 1);
+  }
+  for (std::size_t n = 5; n < 12; ++n) {
+    EXPECT_TRUE(graphhd::oracle::identical(packed.predict(cycle_graph(n)),
+                                           dense.predict(cycle_graph(n))))
+        << "cycle(" << n << ")";
+  }
 }
 
 TEST(PackedBackend, MemoryAccessorsMatchBackend) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "core/encoder.hpp"
 #include "graph/generators.hpp"
@@ -20,7 +21,7 @@ TEST(BitsliceBundler, SingleAddThresholdsToInput) {
   const auto hv = Hypervector::random(500, rng);
   BitsliceBundler bundler(500);
   bundler.add(PackedHypervector::from_bipolar(hv));
-  EXPECT_EQ(bundler.threshold_bipolar(), hv);
+  EXPECT_EQ(bundler.threshold_packed().to_bipolar(), hv);
   EXPECT_EQ(bundler.count(), 1u);
 }
 
@@ -51,7 +52,7 @@ TEST(BitsliceBundler, MatchesBundleAccumulatorIncludingTies) {
     reference.add(hv);
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
-  EXPECT_EQ(bitslice.threshold_bipolar(42), reference.threshold(42));
+  EXPECT_EQ(bitslice.threshold_packed(42).to_bipolar(), reference.threshold(42));
 }
 
 TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
@@ -61,7 +62,7 @@ TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
   BitsliceBundler via_bound(700), via_add(700);
   via_bound.add_bound(PackedHypervector::from_bipolar(a), PackedHypervector::from_bipolar(b));
   via_add.add(PackedHypervector::from_bipolar(a.bind(b)));
-  EXPECT_EQ(via_bound.threshold_bipolar(), via_add.threshold_bipolar());
+  EXPECT_EQ(via_bound.threshold_packed().to_bipolar(), via_add.threshold_packed().to_bipolar());
 }
 
 TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
@@ -75,7 +76,7 @@ TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
   EXPECT_EQ(bitslice.count(), 1000u);
-  EXPECT_EQ(bitslice.threshold_bipolar(9), reference.threshold(9));
+  EXPECT_EQ(bitslice.threshold_packed(9).to_bipolar(), reference.threshold(9));
 }
 
 TEST(BitsliceBundler, DimensionMismatchThrows) {
@@ -85,6 +86,57 @@ TEST(BitsliceBundler, DimensionMismatchThrows) {
   EXPECT_THROW(bundler.add(wrong), std::invalid_argument);
   const auto ok = PackedHypervector::random(64, rng);
   EXPECT_THROW(bundler.add_bound(ok, wrong), std::invalid_argument);
+}
+
+TEST(BitsliceBundler, AddBoundPairsMatchesOneAddBoundPerPair) {
+  // Pair counts around the kernels' 16-pair carry-save blocks, dimensions
+  // around their 4- and 8-word lanes, vectors used by many pairs or none,
+  // and batches that land on a bundler already holding counts (with parked
+  // carry-save vectors).
+  Rng rng(83);
+  for (const std::size_t d : {1u, 64u, 65u, 300u, 513u, 1000u}) {
+    for (const std::size_t pairs : {1u, 2u, 15u, 16u, 17u, 33u, 100u, 257u}) {
+      for (const std::size_t before : {0u, 3u}) {
+        BitsliceBundler batched(d), single(d);
+        for (std::size_t i = 0; i < before; ++i) {
+          const auto hv = PackedHypervector::random(d, rng);
+          batched.add(hv);
+          single.add(hv);
+        }
+        std::vector<PackedHypervector> vectors;
+        for (std::size_t i = 0; i < 1 + pairs / 3; ++i) {
+          vectors.push_back(PackedHypervector::random(d, rng));
+        }
+        std::vector<const PackedHypervector*> table;
+        for (const auto& hv : vectors) table.push_back(&hv);
+        std::vector<std::uint32_t> u, v;
+        for (std::size_t j = 0; j < pairs; ++j) {
+          u.push_back(static_cast<std::uint32_t>(rng.next_below(vectors.size())));
+          v.push_back(static_cast<std::uint32_t>(rng.next_below(vectors.size())));
+          single.add_bound(vectors[u.back()], vectors[v.back()]);
+        }
+        batched.add_bound_pairs(table, u, v);
+        EXPECT_EQ(batched.count(), single.count());
+        EXPECT_EQ(batched.negative_counts(), single.negative_counts())
+            << "d=" << d << " pairs=" << pairs << " before=" << before;
+        EXPECT_EQ(batched.threshold_packed(5), single.threshold_packed(5));
+      }
+    }
+  }
+}
+
+TEST(BitsliceBundler, AddBoundPairsRejectsMismatchedInputs) {
+  Rng rng(89);
+  const auto ok = PackedHypervector::random(64, rng);
+  const auto wrong = PackedHypervector::random(32, rng);
+  BitsliceBundler bundler(64);
+  const std::vector<const PackedHypervector*> table{&ok}, bad{&ok, &wrong};
+  const std::vector<std::uint32_t> zero{0}, zeros{0, 0}, one{1};
+  EXPECT_THROW(bundler.add_bound_pairs(table, zero, zeros), std::invalid_argument);
+  EXPECT_THROW(bundler.add_bound_pairs(table, zero, one), std::invalid_argument);
+  EXPECT_THROW(bundler.add_bound_pairs(bad, zero, one), std::invalid_argument);
+  bundler.add_bound_pairs(table, {}, {});
+  EXPECT_EQ(bundler.count(), 0u);
 }
 
 TEST(BitsliceBundler, ClearResets) {
@@ -125,22 +177,29 @@ TEST_P(BitsliceEncoderEquivalence, FastPathBitIdenticalToReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitsliceEncoderEquivalence, ::testing::Values(1, 2, 3));
 
-/// threshold_packed is the packed backend's encoder output: it must be the
-/// exact packing of threshold_bipolar — same majority, same seeded
-/// tie-break — for both odd (tie-free) and even (tie-bearing) add counts
-/// and at non-word-multiple dimensions.
+/// threshold_packed is the encoder's output: it must be the exact packing
+/// of BundleAccumulator::threshold — same majority, same seeded tie-break —
+/// for both odd (tie-free) and even (tie-bearing) add counts and at
+/// non-word-multiple dimensions, whether the tie stream is drawn from the
+/// seed or handed in pre-packed.
 TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
   Rng rng(71);
   for (const std::size_t d : {70u, 300u, 1024u}) {
     for (const std::size_t adds : {1u, 3u, 4u, 8u}) {
       BitsliceBundler a(d);
       BitsliceBundler b(d);
+      BundleAccumulator reference(d);
       for (std::size_t i = 0; i < adds; ++i) {
         const auto hv = PackedHypervector::random(d, rng);
         a.add(hv);
         b.add(hv);
+        reference.add(hv.to_bipolar());
       }
-      EXPECT_EQ(a.threshold_packed(17), PackedHypervector::from_bipolar(b.threshold_bipolar(17)))
+      const auto expected = PackedHypervector::from_bipolar(reference.threshold(17));
+      EXPECT_EQ(a.threshold_packed(17), expected) << "d=" << d << " adds=" << adds;
+      EXPECT_EQ(b.threshold_packed(tie_sign_words(17, d)), expected)
+          << "d=" << d << " adds=" << adds;
+      EXPECT_EQ(a.threshold_packed(17).to_bipolar(), reference.threshold(17))
           << "d=" << d << " adds=" << adds;
     }
   }
@@ -149,14 +208,26 @@ TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
 TEST(BitsliceBundler, ThresholdPackedOnBoundPairs) {
   Rng rng(73);
   BitsliceBundler a(500);
-  BitsliceBundler b(500);
+  BundleAccumulator reference(500);
   for (int i = 0; i < 6; ++i) {
     const auto x = PackedHypervector::random(500, rng);
     const auto y = PackedHypervector::random(500, rng);
     a.add_bound(x, y);
-    b.add_bound(x, y);
+    reference.add_bound(x.to_bipolar(), y.to_bipolar());
   }
-  EXPECT_EQ(a.threshold_packed(), PackedHypervector::from_bipolar(b.threshold_bipolar()));
+  EXPECT_EQ(a.threshold_packed(), PackedHypervector::from_bipolar(reference.threshold()));
+}
+
+TEST(BitsliceBundler, ThresholdPackedRejectsMissizedTieWords) {
+  Rng rng(79);
+  BitsliceBundler even(130);
+  even.add(PackedHypervector::random(130, rng));
+  even.add(PackedHypervector::random(130, rng));
+  EXPECT_THROW((void)even.threshold_packed(tie_sign_words(5, 64)), std::invalid_argument);
+  // Odd counts never read the tie words.
+  BitsliceBundler odd(130);
+  odd.add(PackedHypervector::random(130, rng));
+  EXPECT_NO_THROW((void)odd.threshold_packed(std::span<const std::uint64_t>{}));
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "hdc/item_memory.hpp"
+#include "support/dense_oracle.hpp"
 
 namespace {
 
@@ -16,6 +18,8 @@ using graphhd::graph::cycle_graph;
 using graphhd::graph::path_graph;
 using graphhd::graph::star_graph;
 using graphhd::graph::VertexId;
+using graphhd::hdc::ItemMemory;
+using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
 
 GraphHdConfig test_config(std::size_t dimension = 2048) {
@@ -42,36 +46,70 @@ TEST(GraphHdConfig, IdentifierNames) {
   EXPECT_STREQ(to_string(VertexIdentifier::kDegree), "degree");
 }
 
-TEST(Encoder, PackedRankCacheIsBounded) {
-  // Regression: the packed mirror of the rank basis used to grow without
-  // bound — one packed vector per centrality rank ever seen.  A graph with
-  // more vertices than the cap must still encode correctly (identically to
-  // the dense path) while the cache stays capped.
-  GraphHdConfig config = test_config(512);
+TEST(Encoder, GraphBeyondAThousandRanksMatchesTheDenseOracle) {
+  // The packed basis grows with the largest graph seen; a graph with more
+  // than 1024 vertices (the size the old packed cache was capped at) must
+  // encode bit for bit like the dense oracle's own ItemMemory basis, on
+  // both the even- and the odd-edge-count threshold.
+  const GraphHdConfig config = test_config(512);
   GraphHdEncoder encoder(config);
-  GraphHdEncoder reference(config);
-  const std::size_t big = GraphHdEncoder::kPackedRankCacheCap + 100;
-  const auto graph = path_graph(big);  // ranks 0..big-1 all occur.
-
-  const auto packed = encoder.encode_packed(graph);
-  EXPECT_LE(encoder.packed_rank_cache_size(), GraphHdEncoder::kPackedRankCacheCap);
-  EXPECT_EQ(packed, graphhd::hdc::PackedHypervector::from_bipolar(reference.encode(graph)));
-
-  // The dense fast path shares the cache; it must respect the cap too.
-  (void)reference.encode(graph);
-  EXPECT_LE(reference.packed_rank_cache_size(), GraphHdEncoder::kPackedRankCacheCap);
+  graphhd::oracle::BaselineEncoder oracle(config);
+  for (const std::size_t n : {1100u, 1101u}) {
+    const auto graph = path_graph(n);  // ranks 0..n-1 all occur; n-1 edges.
+    EXPECT_EQ(encoder.encode_packed(graph), PackedHypervector::from_bipolar(oracle.encode(graph)))
+        << n << " vertices";
+  }
 }
 
-TEST(Encoder, PackedRankCacheStaysBoundedAcrossGraphs) {
-  GraphHdConfig config = test_config(256);
-  GraphHdEncoder encoder(config);
-  for (std::size_t n = 4; n < 40; n += 3) {
-    (void)encoder.encode_packed(cycle_graph(n));
-    (void)encoder.encode_packed(star_graph(n));
+TEST(Encoder, EncodingsMatchTheDenseOracle) {
+  // Even and odd edge counts, the edgeless fallback, and a dimension that
+  // is not a multiple of 64.
+  for (const std::size_t d : {100u, 2048u}) {
+    const GraphHdConfig config = test_config(d);
+    GraphHdEncoder encoder(config);
+    graphhd::oracle::BaselineEncoder oracle(config);
+    Rng rng(d);
+    const std::vector<graphhd::graph::Graph> graphs{
+        star_graph(9), cycle_graph(12), path_graph(2), graphhd::graph::Graph::from_edges(5, {}),
+        graphhd::graph::random_molecule(30, 3, rng), graphhd::graph::random_molecule(30, 2, rng),
+        path_graph(6)};
+    for (const auto& graph : graphs) {
+      const auto expected = oracle.encode(graph);
+      EXPECT_EQ(encoder.encode(graph), expected) << "d=" << d;
+      EXPECT_EQ(encoder.encode_packed(graph), PackedHypervector::from_bipolar(expected))
+          << "d=" << d;
+    }
   }
-  // Small graphs: the cache holds at most the largest rank seen, far below
-  // the cap — growth tracks demand, not total graphs encoded.
-  EXPECT_LE(encoder.packed_rank_cache_size(), 40u);
+}
+
+TEST(Encoder, PackedBasisEqualsThePackedDenseItemMemory) {
+  // Basis vector k is generated straight from the RNG words; it must equal
+  // from_bipolar(ItemMemory::make(k)) for the rank and the label basis,
+  // including the masked tail of dimensions that are not multiples of 64.
+  for (const std::size_t d : {1u, 63u, 64u, 65u, 1000u, 10000u}) {
+    const GraphHdConfig config = test_config(d);
+    const GraphHdEncoder encoder(config);
+    const ItemMemory ranks(d, graphhd::hdc::derive_seed(config.seed, "vertex-rank-basis"));
+    const ItemMemory labels(d, graphhd::hdc::derive_seed(config.seed, "vertex-label-basis"));
+    for (const std::size_t k : {0u, 1u, 7u, 63u, 64u, 200u}) {
+      EXPECT_EQ(encoder.basis().ranks.get(k), PackedHypervector::from_bipolar(ranks.make(k)))
+          << "d=" << d << " k=" << k;
+      EXPECT_EQ(encoder.basis().labels.get(k), PackedHypervector::from_bipolar(labels.make(k)))
+          << "d=" << d << " k=" << k;
+      EXPECT_EQ(encoder.rank_basis(k), ranks.make(k)) << "d=" << d << " k=" << k;
+    }
+    EXPECT_EQ(encoder.basis().tie_words,
+              graphhd::hdc::tie_sign_words(
+                  graphhd::hdc::derive_seed(config.seed, "bundle-tie-break"), d));
+  }
+}
+
+TEST(Encoder, CopiesShareOneBasis) {
+  const GraphHdEncoder encoder(test_config());
+  const GraphHdEncoder copy = encoder;
+  EXPECT_EQ(&copy.basis(), &encoder.basis());
+  (void)copy.encode_packed(path_graph(40));
+  EXPECT_GE(encoder.basis().ranks.size(), 40u);
 }
 
 TEST(Encoder, DeterministicPerConfigSeed) {

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdlib>
 #include <ostream>
 #include <set>
@@ -247,6 +248,57 @@ TEST(KernelEquivalence, XorHammingFullAdderMatchScalar) {
         }
         return ok;
       });
+}
+
+TEST(KernelEquivalence, CountBoundPairsMatchesScalarAndBruteForce) {
+  // Pair counts around the SIMD variants' 16-pair carry-save blocks; every
+  // plane is written, including planes above the count's bit width.
+  Rng rng(0x5eed7);
+  constexpr std::size_t kBlock = kernels::kBlockWords;
+  for (const std::size_t d : kDimensions) {
+    for (const std::size_t pairs : {1u, 5u, 16u, 31u, 32u, 47u, 300u}) {
+      const std::size_t blocks = (d + 64 * kBlock - 1) / (64 * kBlock);
+      const std::size_t num_vectors = 1 + pairs / 4;
+      // Block-major table of random vectors, zero past each vector's tail.
+      std::vector<std::vector<std::uint64_t>> vectors;
+      std::vector<std::uint64_t> table(blocks * kBlock * num_vectors, 0);
+      for (std::size_t i = 0; i < num_vectors; ++i) {
+        vectors.push_back(random_words(d, rng));
+        for (std::size_t w = 0; w < vectors[i].size(); ++w) {
+          table[((w / kBlock) * num_vectors + i) * kBlock + w % kBlock] = vectors[i][w];
+        }
+      }
+      std::vector<std::uint32_t> u, v;
+      for (std::size_t j = 0; j < pairs; ++j) {
+        u.push_back(static_cast<std::uint32_t>(rng.next_below(num_vectors)));
+        v.push_back(static_cast<std::uint32_t>(rng.next_below(num_vectors)));
+      }
+      const std::size_t planes = std::bit_width(pairs) + 2;
+      const std::size_t plane_words = blocks * kBlock;
+      std::vector<std::uint64_t> reference(planes * plane_words, ~std::uint64_t{0});
+      kernels::scalar().count_bound_pairs(table.data(), num_vectors, blocks, u.data(), v.data(),
+                                          pairs, reference.data(), planes);
+      for (std::size_t i = 0; i < plane_words * 64; ++i) {
+        std::uint64_t count = 0;
+        if (i < d) {
+          for (std::size_t j = 0; j < pairs; ++j) {
+            count += ((vectors[u[j]][i / 64] ^ vectors[v[j]][i / 64]) >> (i % 64)) & 1u;
+          }
+        }
+        std::uint64_t planed = 0;
+        for (std::size_t k = 0; k < planes; ++k) {
+          planed |= ((reference[k * plane_words + i / 64] >> (i % 64)) & 1u) << k;
+        }
+        ASSERT_EQ(planed, count) << "scalar d=" << d << " pairs=" << pairs << " bit " << i;
+      }
+      for (const KernelOps* ops : supported_variants()) {
+        std::vector<std::uint64_t> out(planes * plane_words, 0x5555555555555555ULL);
+        ops->count_bound_pairs(table.data(), num_vectors, blocks, u.data(), v.data(), pairs,
+                               out.data(), planes);
+        EXPECT_EQ(out, reference) << ops->name << " d=" << d << " pairs=" << pairs;
+      }
+    }
+  }
 }
 
 struct BatchCase {

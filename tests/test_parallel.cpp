@@ -11,9 +11,11 @@
 #include <atomic>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "core/encoder.hpp"
 #include "core/pipeline.hpp"
 #include "data/scalability.hpp"
 #include "eval/baselines.hpp"
@@ -24,9 +26,13 @@ namespace {
 
 using graphhd::core::GraphHd;
 using graphhd::core::GraphHdConfig;
+using graphhd::core::GraphHdEncoder;
 using graphhd::data::GraphDataset;
 using graphhd::graph::cycle_graph;
+using graphhd::graph::Graph;
+using graphhd::graph::path_graph;
 using graphhd::graph::star_graph;
+using graphhd::hdc::PackedHypervector;
 namespace parallel = graphhd::parallel;
 
 /// Restores the process-wide pool so tests don't leak thread settings.
@@ -208,6 +214,88 @@ TEST(ParallelModel, RetrainingExtensionStaysDeterministic) {
   };
   const auto serial = run(1);
   EXPECT_EQ(run(8), serial);
+}
+
+/// A graph of `n` vertices whose edge count has parity `parity`: a cycle
+/// has n edges, a path or a star n - 1.
+Graph graph_with_parity(std::size_t n, std::size_t parity, std::size_t variant) {
+  if (n % 2 == parity) return cycle_graph(n);
+  return variant % 2 == 0 ? path_graph(n) : star_graph(n);
+}
+
+TEST(SharedEncoder, DatasetEncodeMatchesTheSerialLoopAtAnyThreadCount) {
+  // encode_dataset_packed grows the basis once and fans out over one
+  // shared encoder: at 1/2/4 threads, on a 64- and a 4096-graph chunk, with
+  // all-even (tie stream) and all-odd edge counts, it must equal the serial
+  // loop over an encoder with its own basis.
+  ThreadGuard guard;
+  GraphHdConfig config;
+  config.dimension = 300;
+  const GraphHdEncoder serial_encoder(config);
+  for (const std::size_t size : {64u, 4096u}) {
+    for (const std::size_t parity : {0u, 1u}) {
+      GraphDataset dataset("parity", {}, {});
+      std::vector<PackedHypervector> serial;
+      for (std::size_t i = 0; i < size; ++i) {
+        dataset.add(graph_with_parity(4 + i % 29, parity, i), i % 2);
+        serial.push_back(serial_encoder.encode_packed(dataset.graph(i)));
+      }
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        parallel::set_threads(threads);
+        const GraphHdEncoder encoder(config);
+        EXPECT_EQ(graphhd::core::encode_dataset_packed(encoder, dataset), serial)
+            << size << " graphs, parity " << parity << ", " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(SharedEncoder, ConcurrentEncodesGrowTheBasisWhileOthersRead) {
+  // Four threads encode graphs of rising size through one encoder (two
+  // through the encoder itself, two through copies of the handle), so the
+  // rank basis — and, with labels, the label basis — grows under one thread
+  // while the others read it.  Every encoding must equal the serial one.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kGraphs = 24;
+  const auto graph_of = [](std::size_t t, std::size_t i) {
+    return graph_with_parity(3 + 23 * i + 7 * t, (t + i) % 2, t);
+  };
+  const auto labels_of = [](const Graph& graph, std::size_t i) {
+    std::vector<std::size_t> labels(graph.num_vertices());
+    for (std::size_t v = 0; v < labels.size(); ++v) labels[v] = v % (2 * i + 1);
+    return labels;
+  };
+  for (const bool labeled : {false, true}) {
+    GraphHdConfig config;
+    config.dimension = 200;
+    config.use_vertex_labels = labeled;
+    const GraphHdEncoder shared(config);
+    std::vector<std::vector<PackedHypervector>> encoded(kThreads);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        const GraphHdEncoder copy = shared;
+        const GraphHdEncoder& encoder = t % 2 == 0 ? shared : copy;
+        for (std::size_t i = 0; i < kGraphs; ++i) {
+          const Graph graph = graph_of(t, i);
+          encoded[t].push_back(labeled ? encoder.encode_packed(graph, labels_of(graph, i))
+                                       : encoder.encode_packed(graph));
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+
+    const GraphHdEncoder reference(config);
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(encoded[t].size(), kGraphs);
+      for (std::size_t i = 0; i < kGraphs; ++i) {
+        const Graph graph = graph_of(t, i);
+        EXPECT_EQ(encoded[t][i], labeled ? reference.encode_packed(graph, labels_of(graph, i))
+                                         : reference.encode_packed(graph))
+            << "labeled " << labeled << " thread " << t << " graph " << i;
+      }
+    }
+  }
 }
 
 TEST(ParallelCv, ParallelFoldsMatchSerialAccuracies) {
